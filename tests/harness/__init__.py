@@ -1,19 +1,15 @@
-"""Reusable differential-testing harness.
+"""Reusable test harnesses.
 
-The simulator now has three implementations that must agree bit for bit
--- the legacy per-block cache, the run-coalesced fast cache, and the
-run-level batch engine layered on either.  :mod:`tests.harness.differential`
-runs any (workload, config, fault-plan, cache-impl, engine-impl) tuple
-through both engines and compares full result digests, with a field-level
-divergence report when they differ.
+:mod:`tests.harness.differential` runs named simulation cells and checks
+their result digests against the committed golden table;
+:mod:`tests.harness.executor_contract` is the cross-backend executor
+conformance matrix.
 """
 
 from tests.harness.differential import (  # noqa: F401
-    DifferentialCase,
-    PairOutcome,
     QUICK_MATRIX,
-    assert_equivalent,
-    describe_divergence,
+    DifferentialCase,
+    check_digest,
+    check_result,
     run_case,
-    run_pair,
 )

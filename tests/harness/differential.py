@@ -1,34 +1,31 @@
-"""Run one simulation tuple through both engines and demand digest equality.
+"""Golden simulation digests: named cells checked against a frozen table.
 
-The core primitive is :func:`run_pair`: given traces and a config it runs
-the event-at-a-time engine and the batch kernel back to back (on the
-requested cache implementation) and reports whether the full result
-digests -- every scalar, every cache counter, every binned rate series --
-match.  :func:`assert_equivalent` turns a mismatch into an assertion
-whose message names the first diverging fields, which is the difference
-between "digest mismatch" and an actionable bug report.
+A cell is one reconstructible (workload, config, fault-plan, cache-impl)
+tuple.  Its :meth:`~repro.sim.metrics.SimulationResult.digest` -- every
+scalar, every cache counter, every binned rate series -- is compared
+against ``tests/integration/golden/sim_digests.json``.  The table was
+frozen while the event engine and the former run-level batch kernel
+still agreed on every cell, so each entry is a digest two independent
+implementations produced.
 
-:data:`QUICK_MATRIX` is the CI matrix: named, reconstructible cases
-spanning both cache implementations and fault-free/faulted plans.  Run it
-standalone with::
+:data:`QUICK_MATRIX` is the named quick matrix: venus pairs across both
+cache implementations and fault-free/faulted plans, plus an async and a
+crash cell.  After an intentional change to the simulator, regenerate
+the table with::
 
-    python -m tests.harness.differential [--artifacts DIR]
+    PYTHONPATH=src python -m pytest tests/sim/test_engine_differential.py \\
+        tests/sim/test_batch_differential_matrix.py \\
+        tests/sim/test_batch_chaos_matrix.py --update-golden
 
-which exits nonzero on any mismatch and, when ``--artifacts`` is given,
-writes one JSON report per failing case (digests plus the field-level
-divergence) for upload from CI.
+and review the diff like any other code change.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from repro.obs.registry import MetricsRegistry
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.faults import FaultPlan
 from repro.sim.metrics import SimulationResult
@@ -39,146 +36,43 @@ from repro.util.rng import DEFAULT_SEED
 from repro.util.units import KB, MB
 from repro.workloads.base import generate_workload
 
-ENGINE_IMPLS = ("event", "batch")
-
-_SCALAR_FIELDS = (
-    "wall_seconds",
-    "completion_seconds",
-    "n_cpus",
-    "busy_seconds",
-    "switch_seconds",
-    "interrupt_seconds",
-    "disk_sequential_fraction",
-    "disk_busy_seconds",
-    "events_run",
+GOLDEN_PATH = (
+    Path(__file__).resolve().parents[1] / "integration" / "golden" / "sim_digests.json"
 )
-_CACHE_FIELDS = (
-    "read_requests", "read_bytes", "write_requests", "write_bytes",
-    "block_hits", "block_misses", "block_inflight_hits",
-    "readahead_hits", "prefetch_issued", "prefetch_blocks",
-    "writes_absorbed", "writes_cancelled", "frame_stalls",
-    "bypass_requests",
-)
-_FAULT_FIELDS = (
-    "injected_errors", "injected_slowdowns", "timeouts", "retries",
-    "recovered", "failed_reads", "failed_writes", "reflushes",
-    "degraded_requests", "lost_bytes", "max_attempts", "crashed",
-)
-_SERIES_FIELDS = ("disk_read_rate", "disk_write_rate", "demand_rate", "busy_rate")
 
 
-def describe_divergence(a: SimulationResult, b: SimulationResult) -> list[str]:
-    """Field-by-field comparison of two results, one line per difference."""
-    lines: list[str] = []
-    for name in _SCALAR_FIELDS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if va != vb:
-            lines.append(f"{name}: {va!r} != {vb!r}")
-    for name in _CACHE_FIELDS:
-        va, vb = getattr(a.cache, name), getattr(b.cache, name)
-        if va != vb:
-            lines.append(f"cache.{name}: {va} != {vb}")
-    for name in _FAULT_FIELDS:
-        va, vb = getattr(a.faults, name), getattr(b.faults, name)
-        if va != vb:
-            lines.append(f"faults.{name}: {va!r} != {vb!r}")
-    pids = sorted(set(a.processes) | set(b.processes))
-    for pid in pids:
-        pa, pb = a.processes.get(pid), b.processes.get(pid)
-        if pa != pb:
-            lines.append(f"processes[{pid}]: {pa!r} != {pb!r}")
-    for name in _SERIES_FIELDS:
-        sa, sb = getattr(a, name), getattr(b, name)
-        if sa != sb:
-            lines.append(f"{name}: series differ")
-    return lines
+def check_digest(cell: str, digest: str, update: bool) -> None:
+    """Assert ``digest`` equals the golden entry for ``cell``.
 
-
-@dataclass
-class PairOutcome:
-    """Both engines' digests for one tuple, plus the divergence if any.
-
-    When the pair was run with ``counters=True``, ``counters`` maps each
-    engine impl to its run's counter snapshot (``{name: value}``), so a
-    matrix cell can assert that a kernel fast path actually *engaged*
-    (e.g. ``counters["batch"]["sim.batch.fast_writes"] > 0``) rather
-    than vacuously matching because everything fell back.
+    With ``update`` the entry is (re)written instead; the rest of the
+    table is left as it was, so one test module can be regenerated on
+    its own.
     """
-
-    digests: dict[str, str]
-    results: dict[str, SimulationResult]
-    divergence: list[str] = field(default_factory=list)
-    counters: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def match(self) -> bool:
-        return self.digests["event"] == self.digests["batch"]
-
-
-def run_pair(
-    traces: Sequence[TraceArray],
-    config: SimConfig,
-    *,
-    cache_impl: str = "fast",
-    max_events: int | None = None,
-    counters: bool = False,
-) -> PairOutcome:
-    """Run ``traces`` under ``config`` through both engines and compare.
-
-    ``counters=True`` threads a private enabled
-    :class:`~repro.obs.registry.MetricsRegistry` through each run and
-    records both counter snapshots on the outcome -- the registry is
-    per-run, so the snapshots never bleed between the two engines or
-    into the process-global registry.
-    """
-    results: dict[str, SimulationResult] = {}
-    counter_snaps: dict[str, dict[str, float]] = {}
-    for impl in ENGINE_IMPLS:
-        obs = MetricsRegistry(enabled=True) if counters else None
-        results[impl] = SimulatedSystem(
-            traces, config, cache_impl=cache_impl, engine_impl=impl, obs=obs
-        ).run(max_events=max_events)
-        if obs is not None:
-            counter_snaps[impl] = obs.counters()
-    outcome = PairOutcome(
-        digests={impl: r.digest() for impl, r in results.items()},
-        results=results,
-        counters=counter_snaps,
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    if update:
+        golden[cell] = digest
+        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        return
+    assert cell in golden, (
+        f"no golden digest for {cell!r}; run with --update-golden to add it"
     )
-    if not outcome.match:
-        outcome.divergence = describe_divergence(
-            results["event"], results["batch"]
-        )
-    return outcome
-
-
-def assert_equivalent(
-    traces: Sequence[TraceArray],
-    config: SimConfig,
-    *,
-    cache_impl: str = "fast",
-    label: str = "",
-    max_events: int | None = None,
-    counters: bool = False,
-) -> PairOutcome:
-    """Assert both engines produce the same digest; name what diverged."""
-    outcome = run_pair(
-        traces, config, cache_impl=cache_impl, max_events=max_events,
-        counters=counters,
+    assert digest == golden[cell], (
+        f"digest of {cell!r} diverged from the golden table: "
+        f"{digest} != {golden[cell]}"
     )
-    if not outcome.match:
-        detail = "\n  ".join(outcome.divergence) or "(digest-only divergence)"
-        raise AssertionError(
-            f"engine divergence{f' [{label}]' if label else ''} "
-            f"(cache_impl={cache_impl}):\n"
-            f"  event={outcome.digests['event']}\n"
-            f"  batch={outcome.digests['batch']}\n  {detail}"
-        )
-    return outcome
+
+
+def check_result(
+    cell: str, result: SimulationResult, update: bool
+) -> SimulationResult:
+    """:func:`check_digest` on a result's digest; returns the result."""
+    check_digest(cell, result.digest(), update)
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Named, reconstructible cases (the CI quick matrix)
+# Named, reconstructible cases (the quick matrix)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class DifferentialCase:
@@ -207,8 +101,8 @@ class DifferentialCase:
         return FaultPlan.from_spec(self.fault_spec).apply(self.config)
 
 
-# Traces are rebuilt per case name at most once; workload generation is
-# the expensive part and most cases share (workload, scale, seed, copies).
+# Traces are rebuilt per (workload, scale, seed, copies) at most once;
+# workload generation is the expensive part and most cases share it.
 _TRACE_CACHE: dict[tuple, list[TraceArray]] = {}
 
 
@@ -219,10 +113,10 @@ def _traces_for(case: DifferentialCase) -> list[TraceArray]:
     return _TRACE_CACHE[key]
 
 
-def run_case(case: DifferentialCase) -> PairOutcome:
-    return run_pair(
+def run_case(case: DifferentialCase) -> SimulationResult:
+    return SimulatedSystem(
         _traces_for(case), case.resolved_config(), cache_impl=case.cache_impl
-    )
+    ).run()
 
 
 def _quick_matrix() -> list[DifferentialCase]:
@@ -274,44 +168,3 @@ def _quick_matrix() -> list[DifferentialCase]:
 
 
 QUICK_MATRIX: list[DifferentialCase] = _quick_matrix()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run the engine-differential quick matrix."
-    )
-    parser.add_argument(
-        "--artifacts",
-        type=Path,
-        default=None,
-        help="directory for per-mismatch JSON reports (created on demand)",
-    )
-    args = parser.parse_args(argv)
-    failures = 0
-    for case in QUICK_MATRIX:
-        outcome = run_case(case)
-        status = "ok" if outcome.match else "MISMATCH"
-        print(
-            f"{case.name:<24} {case.cache_impl:<7} "
-            f"event={outcome.digests['event'][:16]} "
-            f"batch={outcome.digests['batch'][:16]} {status}"
-        )
-        if not outcome.match:
-            failures += 1
-            if args.artifacts is not None:
-                args.artifacts.mkdir(parents=True, exist_ok=True)
-                report = {
-                    "case": case.name,
-                    "cache_impl": case.cache_impl,
-                    "fault_spec": case.fault_spec,
-                    "digests": outcome.digests,
-                    "divergence": outcome.divergence,
-                }
-                path = args.artifacts / f"{case.name}.json"
-                path.write_text(json.dumps(report, indent=2))
-    print(f"{len(QUICK_MATRIX)} cases, {failures} mismatch(es)")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

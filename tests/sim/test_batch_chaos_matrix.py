@@ -1,12 +1,14 @@
-"""Seed-matrix chaos tests: the batch kernel survives fault injection.
+"""Seed-matrix chaos cells: fault-injected runs pinned to golden digests.
 
 Same discipline as the recovery layer's chaos matrix (seeds 11/23/47):
 every seeded fault plan -- injected errors, slowdowns, retry exhaustion,
-and a timed SSD failure that flips the cache into degraded bypass mode
-mid-run -- must produce digest-identical results from the batch kernel
-and the event engine.  Fault injection draws randomness only at device
-submits, which the batch fast path never reaches, so any divergence here
-means the kernel perturbed the RNG stream or the event ordering.
+a timed SSD failure that flips the cache into degraded bypass mode
+mid-run, and a crash -- must reproduce the digest in
+``tests/integration/golden/sim_digests.json``.  Fault injection draws
+randomness at device submits, so a divergence here means the cache or
+the engine perturbed the RNG stream or the event ordering.  The test
+names keep the cell identifiers of the former batch-kernel-vs-event
+matrix whose agreement the golden digests were frozen from.
 """
 
 import pytest
@@ -14,11 +16,11 @@ import pytest
 from repro.sim.config import SimConfig, ssd_cache
 from repro.sim.faults import FaultPlan
 from repro.sim.procmodel import relabel_copies
-from repro.sim.system import SimulatedSystem
+from repro.sim.system import simulate
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
 from repro.workloads.base import generate_workload
-from tests.harness import assert_equivalent
+from tests.harness import check_result
 
 SEEDS = (11, 23, 47)
 
@@ -29,46 +31,47 @@ def venus_pair():
     return relabel_copies(venus.trace, 2)
 
 
+def _run(venus_pair, spec: str, cell: str, update_golden: bool):
+    config = FaultPlan.from_spec(spec).apply(SimConfig(cache=ssd_cache(8 * MB)))
+    return check_result(f"chaos/{cell}", simulate(venus_pair, config), update_golden)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_batch_matches_event_under_seeded_error_plan(venus_pair, seed):
-    plan = FaultPlan.from_spec(
-        f"error=0.05,slow=0.1,seed={seed},max_retries=4"
-    )
-    config = plan.apply(SimConfig(cache=ssd_cache(8 * MB)))
-    outcome = assert_equivalent(
-        venus_pair, config, label=f"error-seed-{seed}"
+def test_batch_matches_event_under_seeded_error_plan(venus_pair, seed, update_golden):
+    result = _run(
+        venus_pair,
+        f"error=0.05,slow=0.1,seed={seed},max_retries=4",
+        f"error-seed-{seed}",
+        update_golden,
     )
     # The plan actually fired; a vacuous pass would prove nothing.
-    assert outcome.results["event"].faults.injected_errors > 0
+    assert result.faults.injected_errors > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_batch_matches_event_under_retry_exhaustion(venus_pair, seed):
+def test_batch_matches_event_under_retry_exhaustion(venus_pair, seed, update_golden):
     # A high error rate with a single retry exercises failed reads and
-    # writes (abandoned frames, re-queued dirty blocks) on both engines.
-    plan = FaultPlan.from_spec(f"error=0.2,seed={seed},max_retries=1")
-    config = plan.apply(SimConfig(cache=ssd_cache(8 * MB)))
-    outcome = assert_equivalent(
-        venus_pair, config, label=f"exhaustion-seed-{seed}"
+    # writes (abandoned frames, re-queued dirty blocks).
+    result = _run(
+        venus_pair,
+        f"error=0.2,seed={seed},max_retries=1",
+        f"exhaustion-seed-{seed}",
+        update_golden,
     )
-    faults = outcome.results["event"].faults
-    assert faults.failed_reads + faults.failed_writes > 0
+    assert result.faults.failed_reads + result.faults.failed_writes > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_batch_matches_event_through_ssd_failure(venus_pair, seed):
-    # Degraded bypass mode after a timed device failure: the fast read
-    # path must disengage the moment the cache degrades.
-    plan = FaultPlan.from_spec(f"error=0.02,seed={seed},ssd_fail_at=20")
-    config = plan.apply(SimConfig(cache=ssd_cache(8 * MB)))
-    outcome = assert_equivalent(
-        venus_pair, config, label=f"ssd-fail-seed-{seed}"
+def test_batch_matches_event_through_ssd_failure(venus_pair, seed, update_golden):
+    result = _run(
+        venus_pair,
+        f"error=0.02,seed={seed},ssd_fail_at=20",
+        f"ssd-fail-seed-{seed}",
+        update_golden,
     )
-    assert outcome.results["event"].faults.degraded_requests > 0
+    assert result.faults.degraded_requests > 0
 
 
-def test_batch_matches_event_through_crash(venus_pair):
-    plan = FaultPlan.from_spec("crash_at=10")
-    config = plan.apply(SimConfig(cache=ssd_cache(8 * MB)))
-    outcome = assert_equivalent(venus_pair, config, label="crash")
-    assert outcome.results["event"].faults.crashed
+def test_batch_matches_event_through_crash(venus_pair, update_golden):
+    result = _run(venus_pair, "crash_at=10", "crash", update_golden)
+    assert result.faults.crashed

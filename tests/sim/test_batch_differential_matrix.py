@@ -1,34 +1,34 @@
-"""Seed-matrix differential: batch kernel == event engine, every policy.
+"""Seed-matrix golden digests: every cache policy, with and without faults.
 
-The run-level fast path (``REPRO_ENGINE_IMPL=batch``) is only allowed to
-exist because its digests are bit-identical to the event engine's.  This
-matrix crosses seeded fault plans with every cache policy knob --
+This matrix crosses seeded fault plans with every cache policy knob --
 read-ahead, write-behind, delayed flush, per-process buffer caps, SSD
-hit penalties, both cache implementations -- so a divergence names the
-exact (policy, fault, seed) cell that broke.
+hit penalties, both cache implementations -- and pins each cell's digest
+to ``tests/integration/golden/sim_digests.json``, so a divergence names
+the exact (policy, fault, seed) cell that broke.  The fast and legacy
+cells of one policy share a digest: the two cache implementations must
+agree bit for bit.
 
-Marked ``batch_differential`` so CI can run the matrix as its own job
-(``pytest -m batch_differential``); it also runs in the default tier-1
-sweep.
+The test names keep the cell identifiers of the former batch-kernel-vs-
+event matrix whose agreement the golden digests were frozen from.
 """
+
+import hashlib
+import random
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.faults import FaultPlan
 from repro.sim.procmodel import relabel_copies
-from repro.sim.system import SimulatedSystem
+from repro.sim.system import SimulatedSystem, simulate
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import KB, MB
 from repro.workloads.base import generate_workload
-from tests.harness import assert_equivalent
-
-pytestmark = pytest.mark.batch_differential
+from tests.harness import check_digest, check_result
 
 SEEDS = (11, 23, 47)
 
@@ -71,14 +71,17 @@ def _config(policy: str, fault: str, seed: int) -> SimConfig:
     return FaultPlan.from_spec(spec.format(seed=seed)).apply(config)
 
 
+def _run(traces, config, cache_impl="fast"):
+    return SimulatedSystem(traces, config, cache_impl=cache_impl).run()
+
+
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("cache_impl", ["fast", "legacy"])
-def test_batch_matches_event_per_policy(venus_pair, policy, cache_impl):
-    assert_equivalent(
-        venus_pair,
-        _config(policy, "clean", 0),
-        cache_impl=cache_impl,
-        label=f"{policy}/{cache_impl}",
+def test_batch_matches_event_per_policy(venus_pair, policy, cache_impl, update_golden):
+    check_result(
+        f"policy/{policy}/{cache_impl}",
+        _run(venus_pair, _config(policy, "clean", 0), cache_impl),
+        update_golden,
     )
 
 
@@ -86,26 +89,26 @@ def test_batch_matches_event_per_policy(venus_pair, policy, cache_impl):
 @pytest.mark.parametrize("fault", ["errors", "exhaustion"])
 @pytest.mark.parametrize("policy", ["synchronous", "delayed-flush", "ssd"])
 def test_batch_matches_event_per_policy_under_faults(
-    venus_pair, policy, fault, seed
+    venus_pair, policy, fault, seed, update_golden
 ):
     # Fault injection draws randomness at device submits; a policy that
     # changes when submits happen (no write-behind, delayed flush, SSD
-    # retry paths) is exactly where a kernel fast path could skew the
-    # RNG stream.
-    assert_equivalent(
-        venus_pair,
-        _config(policy, fault, seed),
-        label=f"{policy}/{fault}-seed-{seed}",
+    # retry paths) is exactly where a cache change could skew the RNG
+    # stream.
+    check_result(
+        f"policy-faults/{policy}/{fault}/{seed}",
+        _run(venus_pair, _config(policy, fault, seed)),
+        update_golden,
     )
 
 
 # ---------------------------------------------------------------------------
-# Write fast path: policy x fault x cache-impl, counter-asserted engagement
+# Write policies x fault plans x cache implementations
 # ---------------------------------------------------------------------------
 
-# The three write disciplines the fast write path must navigate:
-# write-behind (absorbable), write-through (a policy bailout point) and
-# delayed flush (absorbable, but with deadline scheduling delegated).
+# The three write disciplines: write-behind (absorbed), write-through
+# (the writer waits for the disk) and delayed flush (absorbed, with the
+# disk write deferred).
 WRITE_POLICIES = {
     "write-behind": "default",
     "write-through": "no-write-behind",
@@ -116,80 +119,64 @@ WRITE_POLICIES = {
 @pytest.mark.parametrize("cache_impl", ["fast", "legacy"])
 @pytest.mark.parametrize("fault", sorted(FAULT_SPECS))
 @pytest.mark.parametrize("write_policy", sorted(WRITE_POLICIES))
-def test_write_fast_path_matrix(venus_pair, write_policy, fault, cache_impl):
-    """Digest equality is necessary but not sufficient: the cell must
-    also prove the write fast path *engaged* (or was correctly refused).
-
-    ``fast_writes > 0`` is asserted exactly where absorption is legal:
-    the columnar cache with write-behind or delayed flush, including
-    under fault plans (absorbed writes delegate flush submission, so the
-    injector's RNG stream is untouched).  Write-through and the legacy
-    cache must absorb nothing -- a nonzero counter there would mean the
-    kernel dirtied frames behind a policy's back.
-    """
-    outcome = assert_equivalent(
-        venus_pair,
-        _config(WRITE_POLICIES[write_policy], fault, SEEDS[0]),
-        cache_impl=cache_impl,
-        label=f"write-{write_policy}/{fault}/{cache_impl}",
-        counters=True,
+def test_write_fast_path_matrix(
+    venus_pair, write_policy, fault, cache_impl, update_golden
+):
+    """The digest must hold, and the cell must exercise its policy:
+    write-behind and delayed flush absorb writes, write-through never
+    does."""
+    result = check_result(
+        f"write/{write_policy}/{fault}/{cache_impl}",
+        _run(
+            venus_pair,
+            _config(WRITE_POLICIES[write_policy], fault, SEEDS[0]),
+            cache_impl,
+        ),
+        update_golden,
     )
-    batch = outcome.counters["batch"]
-    fast_writes = batch.get("sim.batch.fast_writes", 0)
-    if cache_impl == "fast" and write_policy != "write-through":
-        assert fast_writes > 0, batch
+    if write_policy == "write-through":
+        assert result.cache.writes_absorbed == 0
     else:
-        assert fast_writes == 0, batch
-        assert batch.get("sim.batch.write_bailouts", 0) > 0, batch
+        assert result.cache.writes_absorbed > 0
 
 
 @pytest.fixture(scope="module")
 def forma_solo():
     # forma is the run-structured workload in the suite (sequential read
-    # runs up to 92 records); venus alternates read/write per record, so
-    # its row-level read runs have length 1 and whole-run commit can
-    # never engage there.
+    # runs up to 92 records); at 32 MB its working set goes
+    # clean-resident for long read runs.
     return [generate_workload("forma", scale=0.05, seed=DEFAULT_SEED).trace]
 
 
-def test_bulk_commit_engages_on_run_structured_workload(forma_solo):
-    """The vectorized whole-run commit must fire and stay bit-identical.
-
-    At 32 MB the forma working set goes clean-resident for long read
-    runs, which is the whole-run commit's domain; the counter assertion
-    keeps this cell from silently degenerating into scalar fast reads.
-    """
-    outcome = assert_equivalent(
-        forma_solo,
-        SimConfig(cache=CacheConfig(size_bytes=32 * MB)),
-        label="forma-bulk-commit",
-        counters=True,
+def test_bulk_commit_engages_on_run_structured_workload(forma_solo, update_golden):
+    result = check_result(
+        "forma-32mb",
+        simulate(forma_solo, SimConfig(cache=CacheConfig(size_bytes=32 * MB))),
+        update_golden,
     )
-    batch = outcome.counters["batch"]
-    assert batch.get("sim.batch.runs_bulk_committed", 0) > 0, batch
-    assert batch.get("sim.batch.fast_writes", 0) > 0, batch
+    assert result.cache.block_hits > 0
 
 
 # ---------------------------------------------------------------------------
-# Fast-write absorption must not perturb flush-queue trajectories
+# Flush-queue trajectories
 # ---------------------------------------------------------------------------
 BLOCK = 4 * KB
 
 
-def _run_with_flush_trajectory(traces, config, engine_impl):
-    """Run one engine, recording every ``outstanding_flushes`` transition.
+def _run_with_flush_trajectory(traces, config):
+    """Run once, recording every ``outstanding_flushes`` transition.
 
     The digest only sees the flush queue through its side effects; this
     records the gauge itself -- every (sim-time, value) step -- by
-    swapping the live cache into a recording subclass, so a fast path
-    that merely *reorders* flush accounting (same totals, different
-    trajectory) is still caught.
+    swapping the live cache into a recording subclass, so a change that
+    merely *reorders* flush accounting (same totals, different
+    trajectory) is still caught.  Returns the result and a digest of the
+    trajectory.
     """
-    system = SimulatedSystem(
-        traces, config, cache_impl="fast", engine_impl=engine_impl
-    )
+    system = SimulatedSystem(traces, config, cache_impl="fast")
     cache = system.cache
-    trajectory: list[tuple[float, int]] = []
+    trajectory = hashlib.sha256()
+    steps = [0]
 
     class _Recording(type(cache)):
         @property
@@ -199,12 +186,20 @@ def _run_with_flush_trajectory(traces, config, engine_impl):
         @outstanding_flushes.setter
         def outstanding_flushes(self, value):
             self._of_value = value
-            trajectory.append((self.engine.now, value))
+            trajectory.update(struct.pack("<dq", self.engine.now, value))
+            steps[0] += 1
 
     cache._of_value = cache.__dict__.pop("outstanding_flushes")
     cache.__class__ = _Recording
     result = system.run()
-    return result, trajectory
+    return result, trajectory.hexdigest(), steps[0]
+
+
+def _check_trajectory(cell, traces, config, update_golden):
+    result, trajectory, steps = _run_with_flush_trajectory(traces, config)
+    check_result(cell, result, update_golden)
+    check_digest(f"{cell}/flush-trajectory", trajectory, update_golden)
+    return steps
 
 
 def _sequential_write_trace(
@@ -223,49 +218,38 @@ def _sequential_write_trace(
     )
 
 
-def test_fast_writes_engage_and_preserve_flush_trajectory():
-    """Deterministic anchor: a long sequential write-behind run absorbs
-    nearly every record, and the flush-queue trajectory is unchanged."""
-    traces = [_sequential_write_trace()]
-    config = SimConfig(cache=CacheConfig(size_bytes=8 * MB))
-    from repro.obs.registry import MetricsRegistry
-
-    obs = MetricsRegistry(enabled=True)
-    result = SimulatedSystem(
-        traces, config, cache_impl="fast", engine_impl="batch", obs=obs
-    ).run()
-    assert obs.counters().get("sim.batch.fast_writes", 0) > 0
-
-    r_event, t_event = _run_with_flush_trajectory(traces, config, "event")
-    r_batch, t_batch = _run_with_flush_trajectory(traces, config, "batch")
-    assert r_event.digest() == r_batch.digest() == result.digest()
-    assert t_batch == t_event
-    assert t_event, "workload never flushed; trajectory check is vacuous"
+def test_fast_writes_engage_and_preserve_flush_trajectory(update_golden):
+    """Deterministic anchor: a long sequential write-behind run."""
+    steps = _check_trajectory(
+        "flush/sequential-write",
+        [_sequential_write_trace()],
+        SimConfig(cache=CacheConfig(size_bytes=8 * MB)),
+        update_golden,
+    )
+    assert steps, "workload never flushed; trajectory check is vacuous"
 
 
-@st.composite
-def write_heavy_trace(draw) -> TraceArray:
-    """Sequential write runs with occasional reads and jumps -- the
-    write fast path's domain plus its bail-out edges."""
+def write_heavy_trace(rng: random.Random) -> TraceArray:
+    """Sequential write runs with occasional reads and jumps."""
     file_ids: list[int] = []
     offsets: list[int] = []
     lengths: list[int] = []
     types: list[int] = []
     deltas: list[int] = []
-    for _ in range(draw(st.integers(1, 5))):
-        fid = draw(st.integers(0, 2))
-        run_len = draw(st.integers(1, 12))
-        length = draw(st.integers(1, 8)) * BLOCK
-        offset = draw(st.integers(0, 200)) * BLOCK
+    for _ in range(rng.randint(1, 5)):
+        fid = rng.randint(0, 2)
+        run_len = rng.randint(1, 12)
+        length = rng.randint(1, 8) * BLOCK
+        offset = rng.randint(0, 200) * BLOCK
         rt = F.TRACE_LOGICAL_RECORD
-        if draw(st.integers(0, 4)) > 0:  # write-heavy: 80% write runs
+        if rng.randint(0, 4) > 0:  # write-heavy: 80% write runs
             rt |= F.TRACE_WRITE
         for _ in range(run_len):
             file_ids.append(fid)
             offsets.append(offset)
             lengths.append(length)
             types.append(rt)
-            deltas.append(draw(st.integers(0, 2000)))
+            deltas.append(rng.randint(0, 2000))
             offset += length
     n = len(file_ids)
     return TraceArray.from_columns(
@@ -279,23 +263,16 @@ def write_heavy_trace(draw) -> TraceArray:
     )
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    trace=write_heavy_trace(),
-    size_bytes=st.sampled_from([256 * KB, 1 * MB, 4 * MB]),
-    flush_delay_s=st.sampled_from([0.0, 0.5]),
-)
-def test_fast_write_absorption_never_changes_flush_trajectory(
-    trace, size_bytes, flush_delay_s
-):
-    """Property: for any write-heavy workload under any write-behind
-    geometry, the batch kernel's flush-queue trajectory -- every
-    (time, outstanding_flushes) transition -- equals the event
-    engine's, and the digests agree."""
-    config = SimConfig(
-        cache=CacheConfig(size_bytes=size_bytes, flush_delay_s=flush_delay_s)
-    )
-    r_event, t_event = _run_with_flush_trajectory([trace], config, "event")
-    r_batch, t_batch = _run_with_flush_trajectory([trace], config, "batch")
-    assert r_event.digest() == r_batch.digest()
-    assert t_batch == t_event
+def test_fast_write_absorption_never_changes_flush_trajectory(update_golden):
+    """Seeded write-heavy workloads under every write-behind geometry:
+    digest and flush-queue trajectory both pinned."""
+    for seed in range(30):
+        rng = random.Random(f"write-heavy-{seed}")
+        trace = write_heavy_trace(rng)
+        config = SimConfig(
+            cache=CacheConfig(
+                size_bytes=rng.choice([256 * KB, 1 * MB, 4 * MB]),
+                flush_delay_s=rng.choice([0.0, 0.5]),
+            )
+        )
+        _check_trajectory(f"flush/write-heavy/{seed}", [trace], config, update_golden)
