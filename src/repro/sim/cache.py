@@ -214,16 +214,6 @@ class BufferCache:
         # zero registry lookups and no repeated attribute chains.
         self._stats = metrics.cache
         self._record_demand = metrics.record_demand
-        #: Mutation epoch: bumped whenever block states, prefetch bits,
-        #: stream state, frame-table geometry or known file sizes change
-        #: through the full (slow) request paths.  The batch kernel
-        #: (:mod:`repro.sim.batch`) memoises whole-run classifications
-        #: keyed by this counter: while it holds, nothing the memo
-        #: depends on can have changed, because the kernel's own fast
-        #: commits deliberately do not bump it.  Over-bumping is always
-        #: safe (it only forces a re-classification), so the increment
-        #: sites err on the side of coverage.
-        self.epoch = 0
         self._files: dict[int, _FileFrames] = {}
         self._resident = 0
         self._lru_head: _CleanRun | None = None
@@ -268,7 +258,6 @@ class BufferCache:
         self._record_demand(self.engine.now, length)
         if offset + length > self._file_sizes.get(file_id, 0):
             self._file_sizes[file_id] = offset + length
-            self.epoch += 1
 
         if self.degraded:
             self.metrics.faults.degraded_requests += 1
@@ -299,7 +288,6 @@ class BufferCache:
         self._record_demand(self.engine.now, length)
         if offset + length > self._file_sizes.get(file_id, 0):
             self._file_sizes[file_id] = offset + length
-            self.epoch += 1
 
         if self.degraded:
             self.metrics.faults.degraded_requests += 1
@@ -393,10 +381,8 @@ class BufferCache:
             hint = -(-self._file_sizes.get(file_id, 0) // bs)
             frames = _FileFrames(max(n_blocks, hint, 64))
             self._files[file_id] = frames
-            self.epoch += 1
         elif frames.st.size < n_blocks:
             frames.grow(max(n_blocks, 2 * frames.st.size))
-            self.epoch += 1
         return frames
 
     @property
@@ -420,7 +406,6 @@ class BufferCache:
             frames.st[idx] = _ABSENT
             frames.gen[idx] += 1
             self._resident -= 1
-            self.epoch += 1
             return
         own = frames.own[idx]
         first_owner = int(own[0])
@@ -435,7 +420,6 @@ class BufferCache:
         frames.st[idx] = _ABSENT
         frames.gen[idx] += 1
         self._resident -= idx.size
-        self.epoch += 1
 
     # ------------------------------------------------------------------
     # Clean-LRU run structure
@@ -473,7 +457,6 @@ class BufferCache:
         frames.nid[idx] = node_id
         self._lru_append(node)
         self._clean_count += idx.size
-        self.epoch += 1
 
     def _clean_touch(self, frames: _FileFrames, idx: np.ndarray) -> None:
         """Move already-clean frames to MRU, preserving per-block order.
@@ -633,7 +616,6 @@ class BufferCache:
         frames.gen[idx] = gen
         counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
-        self.epoch += 1
         if state == _VALID:
             self._clean_append(frames, fid, idx)
         return _Run(fid, idx, gen)
@@ -752,7 +734,6 @@ class BufferCache:
         if clean.size:
             self._clean_remove(frames, clean)
         frames.st[alive] = _FLUSHING
-        self.epoch += 1
         self.outstanding_flushes += 1
         self._g_wb_queue.set_max(self.outstanding_flushes)
 
@@ -764,7 +745,6 @@ class BufferCache:
                 if live.size and reflush < self.recovery.max_reflushes:
                     self.metrics.faults.reflushes += 1
                     frames.st[live] = _DIRTY
-                    self.epoch += 1
                     live_gen = run.gen[mask]
 
                     def redo() -> None:
@@ -861,7 +841,6 @@ class BufferCache:
         if clean.size:
             self._clean_remove(frames, clean)
         frames.st[alive] = _DIRTY
-        self.epoch += 1
         handle = _DelayedFlush(file_id, offset, length, run)
         self._delayed_flushes.setdefault(file_id, []).append(handle)
         self.outstanding_flushes += 1  # keeps drain accounting honest
@@ -917,7 +896,6 @@ class BufferCache:
             if gone.size:
                 self._drop_frames(frames, gone)
         self._streams.pop(file_id, None)
-        self.epoch += 1
         if cancelled:
             self._kick_frame_waiters()
         return cancelled
@@ -950,7 +928,6 @@ class BufferCache:
         if self.degraded:
             return
         self.degraded = True
-        self.epoch += 1
         self.metrics.faults.degraded_at_s = self.engine.now
         lost = 0
         for frames in self._files.values():
@@ -975,7 +952,6 @@ class BufferCache:
     ) -> None:
         if not self.config.read_ahead:
             return
-        self.epoch += 1
         stream = self._streams.get(file_id)
         end = offset + length
         if stream is not None and offset == stream.next_offset:
@@ -1050,7 +1026,6 @@ class _PendingRead:
     def start(self) -> bool:
         """Classify the span and issue disk reads; False to retry later."""
         cache = self.cache
-        cache.epoch += 1  # clears prefetch bits / touches LRU below
         stats = cache._stats
         first, last = cache._block_span(self.offset, self.length)
         fid = self.file_id
@@ -1167,7 +1142,6 @@ class _PendingWrite:
 
     def start(self) -> bool:
         cache = self.cache
-        cache.epoch += 1  # dirties frames / clears prefetch bits below
         first, last = cache._block_span(self.offset, self.length)
         fid = self.file_id
         frames = cache._file(fid, last + 1)

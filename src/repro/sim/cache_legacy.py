@@ -8,8 +8,7 @@ tests (``tests/sim/test_hotpath_differential.py``) replay identical
 workloads through both and assert bit-identical
 :meth:`~repro.sim.metrics.SimulationResult.digest` values, so any
 behavioral drift in the fast path is caught against this file.  Select
-it at run time with ``REPRO_CACHE_IMPL=legacy`` or
-``SimulatedSystem(..., cache_impl="legacy")``.
+it with ``SimulatedSystem(..., cache_impl="legacy")``.
 
 The cache sits between the trace-replay processes and the disk model:
 

@@ -6,7 +6,6 @@ CPU with multiple processes making I/O requests."
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.obs.registry import get_registry
@@ -24,19 +23,14 @@ from repro.util.errors import SimulationError
 from repro.util.timeseries import RateSeries
 
 
-def _cache_class(cache_impl: str | None):
+def _cache_class(cache_impl: str):
     """Resolve the buffer-cache implementation.
 
-    ``"fast"`` (default) is the run-coalesced production cache;
-    ``"legacy"`` is the per-block reference kept for differential
-    testing.  The ``REPRO_CACHE_IMPL`` environment variable applies when
-    no explicit argument is given, so whole sweeps (including worker
-    processes, which inherit the environment) can be flipped without a
-    config change -- deliberately *not* a ``SimConfig`` field, so result
-    cache keys are identical for both implementations.
+    ``"fast"`` (default) is the production extent-map cache; ``"legacy"``
+    is the per-block reference kept as the differential tests' oracle.
+    Deliberately *not* a ``SimConfig`` field, so result-cache keys are
+    identical for both implementations.
     """
-    if cache_impl is None:
-        cache_impl = os.environ.get("REPRO_CACHE_IMPL", "fast")
     if cache_impl == "fast":
         return BufferCache
     if cache_impl == "legacy":
@@ -45,26 +39,6 @@ def _cache_class(cache_impl: str | None):
         return LegacyBufferCache
     raise SimulationError(
         f"unknown cache_impl {cache_impl!r} (expected 'fast' or 'legacy')"
-    )
-
-
-def _engine_impl(engine_impl: str | None) -> str:
-    """Resolve the replay-engine implementation.
-
-    ``"event"`` (default) is the event-at-a-time engine; ``"batch"``
-    layers the run-level batch kernel (:mod:`repro.sim.batch`) on top of
-    it, falling back to events at every interaction point.  The
-    ``REPRO_ENGINE_IMPL`` environment variable applies when no explicit
-    argument is given -- like ``REPRO_CACHE_IMPL``, deliberately *not* a
-    ``SimConfig`` field, so result-cache keys are identical for both
-    implementations (the outputs are bit-identical by contract).
-    """
-    if engine_impl is None:
-        engine_impl = os.environ.get("REPRO_ENGINE_IMPL", "event")
-    if engine_impl in ("event", "batch"):
-        return engine_impl
-    raise SimulationError(
-        f"unknown engine_impl {engine_impl!r} (expected 'event' or 'batch')"
     )
 
 
@@ -77,8 +51,7 @@ class SimulatedSystem:
         config: SimConfig | None = None,
         *,
         obs=None,
-        cache_impl: str | None = None,
-        engine_impl: str | None = None,
+        cache_impl: str = "fast",
     ):
         self.config = config if config is not None else SimConfig()
         if not traces:
@@ -113,7 +86,6 @@ class SimulatedSystem:
             self.config.cache, self.engine, self.disk, self.metrics,
             file_sizes=file_sizes, device=self.device, obs=self.obs,
         )
-        self.engine_impl = _engine_impl(engine_impl)
         self.scheduler = RoundRobinScheduler(
             self.engine,
             self.config.scheduler,
@@ -121,27 +93,6 @@ class SimulatedSystem:
             n_cpus=self.config.scheduler.n_cpus,
             obs=self.obs,
         )
-        self.batch_kernel = None
-        proc_kwargs: dict = {}
-        proc_class = TraceProcess
-        if self.engine_impl == "batch":
-            from repro.sim.batch import BatchKernel, BatchTraceProcess
-
-            self.batch_kernel = BatchKernel(
-                self.engine,
-                self.scheduler,
-                self.metrics,
-                self.cache,
-                self.config,
-                obs=self.obs,
-            )
-            self.engine.pump = self.batch_kernel.pump
-            self.engine.pump_watch = (
-                self.batch_kernel._dispatch_fn,
-                self.batch_kernel._slice_fn,
-            )
-            proc_class = BatchTraceProcess
-            proc_kwargs["kernel"] = self.batch_kernel
         self.processes: list[TraceProcess] = []
         seen_pids: set[int] = set()
         for k, trace in enumerate(traces):
@@ -154,7 +105,7 @@ class SimulatedSystem:
                 )
             seen_pids.add(pid)
             self.processes.append(
-                proc_class(
+                TraceProcess(
                     pid,
                     trace,
                     engine=self.engine,
@@ -162,7 +113,6 @@ class SimulatedSystem:
                     cache=self.cache,
                     metrics=self.metrics,
                     sched_config=self.config.scheduler,
-                    **proc_kwargs,
                 )
             )
 
@@ -307,10 +257,9 @@ def simulate(
     *,
     max_events: int | None = None,
     obs=None,
-    cache_impl: str | None = None,
-    engine_impl: str | None = None,
+    cache_impl: str = "fast",
 ) -> SimulationResult:
     """One-shot: build and run a :class:`SimulatedSystem`."""
-    return SimulatedSystem(
-        traces, config, obs=obs, cache_impl=cache_impl, engine_impl=engine_impl
-    ).run(max_events=max_events)
+    return SimulatedSystem(traces, config, obs=obs, cache_impl=cache_impl).run(
+        max_events=max_events
+    )

@@ -288,53 +288,6 @@ class TraceArray:
             (np.zeros(1, dtype=np.int64), np.flatnonzero(~extends) + 1)
         )
 
-    def stream_run_ends(self) -> np.ndarray:
-        """Per-record exclusive byte end of its per-*file* sequential run.
-
-        Unlike :meth:`sequential_runs`, which breaks a run whenever any
-        other row interleaves, runs here are tracked per file: a record
-        extends its file's run when it starts exactly where the file's
-        previous record ended, with the same request size and transfer
-        direction.  This is the stream structure the prefetcher (and the
-        batch kernel's run-level fast path) actually sees -- a process
-        round-robining constant-sized reads over several files is one
-        long run *per file*, even though adjacent rows alternate files.
-
-        Returns an int64 array where ``ends[i]`` is the byte offset just
-        past the last record of the run containing record ``i``.  A
-        record that extends no run (a seek, a size change, a direction
-        flip) is a run of its own, so ``ends[i] >= offset[i] +
-        length[i]`` always holds.
-        """
-        n = len(self)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        # Stable sort groups rows by file while preserving row (time)
-        # order within each file, so "previous record of this file" is
-        # simply the previous row of the sorted view.
-        order = np.argsort(self.file_id, kind="stable")
-        fid = self.file_id[order]
-        off = self.offset[order]
-        ln = self.length[order]
-        wr = self.is_write[order]
-        extends = (
-            (fid[1:] == fid[:-1])
-            & (off[1:] == off[:-1] + ln[:-1])
-            & (ln[1:] == ln[:-1])
-            & (wr[1:] == wr[:-1])
-        )
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.flatnonzero(~extends) + 1)
-        )
-        lasts = np.concatenate((starts[1:] - 1, [n - 1]))
-        run_end = off[lasts] + ln[lasts]
-        rid = np.zeros(n, dtype=np.int64)
-        rid[starts[1:]] = 1
-        rid = np.cumsum(rid)
-        ends = np.empty(n, dtype=np.int64)
-        ends[order] = run_end[rid]
-        return ends
-
     def replay_columns(
         self,
     ) -> tuple[list[int], list[int], list[int], list[bool], list[bool]]:

@@ -48,28 +48,6 @@ class BinnedSeries:
         for t, w in zip(ts, weights):
             self.add(t, w)
 
-    def add_at(self, idx: np.ndarray, weights: np.ndarray | float) -> None:
-        """Bulk :meth:`add` at precomputed bin indices, applied in order.
-
-        ``idx`` holds nonnegative bin indices (the caller has already
-        done the ``(t - t0) / bin_width`` truncation).  ``np.add.at`` is
-        unbuffered -- repeated indices accumulate sequentially in array
-        order -- so the result is bit-identical to a loop of scalar
-        :meth:`add` calls in the same order, which is what the batch
-        kernel's vectorized run commit relies on.
-        """
-        if idx.size == 0:
-            return
-        mx = int(idx.max())
-        if mx >= self._bins.size:
-            new_size = max(mx + 1, self._bins.size * 2)
-            self._bins = np.concatenate(
-                [self._bins, np.zeros(new_size - self._bins.size)]
-            )
-        np.add.at(self._bins, idx, weights)
-        if mx + 1 > self._n_used:
-            self._n_used = mx + 1
-
     def add_spread(self, t_start: float, t_end: float, weight: float) -> None:
         """Spread ``weight`` uniformly over the interval ``[t_start, t_end]``.
 

@@ -126,23 +126,6 @@ class TestSimulateCommand:
         assert "utilization" in out
         assert "process 1" in out and "process 2" in out
 
-    def test_simulate_engine_impl_flag(self, trace_file, capsys, monkeypatch):
-        # --engine-impl batch routes through the batch kernel (via the
-        # same $REPRO_ENGINE_IMPL plumbing the sweeps use) and must
-        # print the exact same summary -- bit-identical results are the
-        # kernel's contract.
-        import os
-
-        monkeypatch.delenv("REPRO_ENGINE_IMPL", raising=False)
-        base = ["simulate", str(trace_file), str(trace_file)]
-        capsys.readouterr()
-        assert main(base + ["--engine-impl", "event"]) == 0
-        event_out = capsys.readouterr().out
-        assert main(base + ["--engine-impl", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert os.environ["REPRO_ENGINE_IMPL"] == "batch"
-        assert batch_out == event_out
-
     def test_shared_files_change_outcome(self, trace_file, capsys):
         # Sharing the data set means one copy's reads warm the cache for
         # the other: higher hit fraction than private copies.

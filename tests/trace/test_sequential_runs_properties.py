@@ -1,6 +1,6 @@
 """Property suite for :meth:`TraceArray.sequential_runs`.
 
-The batch kernel leans on run segmentation as its unit of work, so the
+Run segmentation is the paper's sequential-access unit, so the
 segmentation itself gets a contract: run starts partition the row range,
 every run is maximal (the record before each boundary cannot extend
 across it), row order is preserved by the partition, and the boundaries
