@@ -27,44 +27,48 @@ trace-replay processes and the disk model:
   own did not relieve the problem, and actually worsened CPU
   utilization").
 
-Hot-path structure: columnar frames, run-coalesced bookkeeping
---------------------------------------------------------------
-Requests are decomposed into 4-8 KB blocks, so a single venus-sized
-request touches ~100 frames.  Representing each frame as a Python object
-(the approach kept verbatim in :mod:`repro.sim.cache_legacy`) makes the
-simulator allocate and destroy millions of objects per run; this
-implementation stores frame metadata in per-file numpy columns instead:
+Hot-path structure: per-file extent maps
+----------------------------------------
+Requests are decomposed into 4-8 KB blocks, so a venus-sized request
+spans ~85 frames -- but almost always frames in one state that were
+allocated together.  Each file's resident frames are therefore a sorted
+list of :class:`_Extent` objects: half-open block ranges ``[start,
+end)`` sharing one state (reading / valid / dirty / flushing), owner,
+prefetched bit and **allocation token**.  Absent blocks are the gaps
+between extents.  A request finds its extents with one ``bisect`` and
+splits an extent only where the request's edges cut through it, so
+classifying, allocating, settling and flushing cost O(extents), not
+O(blocks).
 
-* ``st`` -- block state (absent / reading / valid / dirty / flushing),
-* ``own`` -- owning process, ``pf`` -- prefetched flag,
-* ``gen`` -- a generation counter bumped on every allocate/drop, which
-  replaces the legacy per-object identity checks: an in-flight disk
-  completion only settles positions whose generation still matches its
-  allocation snapshot, exactly as the legacy closures only settled
-  ``Block`` objects still present in the block map,
-* ``nid`` -- id of the clean-LRU run node currently holding the block.
+An allocation token names one allocation (one demand-miss run, one
+prefetch run, the new frames of one write).  A block's token changes
+only when the block is dropped or re-allocated, so a disk completion
+acts on exactly the blocks that still carry the token it was issued
+with -- the per-object identity checks of the reference implementation
+(:mod:`repro.sim.cache_legacy`).  A run handle is a list of ascending
+``(lo, hi, token)`` segments, and the demand reads waiting on an
+in-flight read are keyed by its token.
 
-Classification, allocation, eviction, settle and flush are then slice
-operations over ``(first_block, n_blocks)`` extents instead of per-block
-loops.  The clean-LRU is a doubly-linked list of :class:`_CleanRun`
-nodes, one per run of blocks that became evictable together; eviction
-pops whole nodes off the LRU head, splitting at most one per allocation.
-Per-block LRU order is preserved by construction -- runs enter in
-ascending block order, and partial touches extract a slice to the MRU
-end while the remainder keeps its node's place -- so eviction victims,
-hence the disk request sequence and the seeded rotational-delay RNG
-stream, are bit-identical to the legacy implementation (asserted by the
-differential digest tests in ``tests/sim/test_hotpath_differential.py``).
+Valid extents double as the nodes of the clean-LRU, a doubly-linked list
+in per-block LRU order.  Runs enter in ascending block order; a touch
+moves whole extents to the MRU end; a split leaves both pieces adjacent
+at the old node's position, so extracting a range from the middle of a
+node keeps every other block where it was.  Eviction takes blocks off
+the LRU head, shortening at most one extent per allocation.  Eviction
+victims -- hence the disk request sequence and the seeded
+rotational-delay RNG stream -- are bit-identical to the reference
+implementation (asserted by ``tests/sim/test_hotpath_differential.py``
+and the golden digest table).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable
-
-import numpy as np
 
 from repro.obs.registry import get_registry
 from repro.sim.config import CacheConfig, FaultConfig, RecoveryConfig
@@ -77,8 +81,8 @@ from repro.util.errors import SimulationError
 
 
 class BlockState(Enum):
-    """Block lifecycle states (exported for API compatibility; the
-    columnar hot path stores them as small ints in the ``st`` column)."""
+    """Block lifecycle states (exported for API compatibility; extents
+    store them as small ints)."""
 
     READING = 1  #: disk read in flight; frame pinned
     VALID = 2  #: clean resident; evictable
@@ -86,81 +90,53 @@ class BlockState(Enum):
     FLUSHING = 4  #: disk write in flight; frame pinned
 
 
-_ABSENT = 0
 _READING = BlockState.READING.value
 _VALID = BlockState.VALID.value
 _DIRTY = BlockState.DIRTY.value
 _FLUSHING = BlockState.FLUSHING.value
 
-
-class _FileFrames:
-    """Columnar frame metadata for one file, grown on demand."""
-
-    __slots__ = ("st", "own", "pf", "gen", "nid")
-
-    def __init__(self, n_blocks: int):
-        self.st = np.zeros(n_blocks, dtype=np.uint8)
-        self.own = np.zeros(n_blocks, dtype=np.int64)
-        self.pf = np.zeros(n_blocks, dtype=bool)
-        self.gen = np.zeros(n_blocks, dtype=np.int64)
-        self.nid = np.full(n_blocks, -1, dtype=np.int64)
-
-    def grow(self, n_blocks: int) -> None:
-        old = self.st.size
-        extra = n_blocks - old
-        self.st = np.concatenate([self.st, np.zeros(extra, dtype=np.uint8)])
-        self.own = np.concatenate([self.own, np.zeros(extra, dtype=np.int64)])
-        self.pf = np.concatenate([self.pf, np.zeros(extra, dtype=bool)])
-        self.gen = np.concatenate([self.gen, np.zeros(extra, dtype=np.int64)])
-        self.nid = np.concatenate([self.nid, np.full(extra, -1, dtype=np.int64)])
+#: A run handle: ascending ``(lo, hi, token)`` segments.  A block belongs
+#: to the run while the extent holding it still carries the token.
+Segments = list[tuple[int, int, int]]
 
 
-class _Run:
-    """Handle to a set of frames captured at allocation time.
+class _Extent:
+    """Resident blocks ``[start, end)`` of one file sharing every
+    attribute.  Valid extents are also clean-LRU nodes."""
 
-    ``idx`` holds ascending block numbers (possibly with gaps, for
-    prefetch over partially-resident spans); ``gen`` is the generation
-    snapshot.  Disk completions act only on positions whose current
-    generation still equals the snapshot -- the columnar equivalent of
-    the legacy ``self._blocks.get(b.key) is b`` identity checks.
-    """
+    __slots__ = (
+        "fid", "start", "end", "state", "owner", "pf", "token", "prev", "next"
+    )
 
-    __slots__ = ("fid", "idx", "gen")
-
-    def __init__(self, fid: int, idx: np.ndarray, gen: np.ndarray):
+    def __init__(self, fid, start, end, state, owner, pf, token):
         self.fid = fid
-        self.idx = idx
-        self.gen = gen
+        self.start = start
+        self.end = end
+        self.state = state
+        self.owner = owner
+        self.pf = pf
+        self.token = token
+        self.prev: _Extent | None = None
+        self.next: _Extent | None = None
 
 
-class _CleanRun:
-    """A run of clean blocks occupying one slot of the LRU list.
+class _FileMap:
+    """One file's extents sorted by ``start``; ``starts`` mirrors them
+    for ``bisect``."""
 
-    ``idx`` is in per-block LRU order (ascending block numbers for
-    blocks that entered together).  Eviction takes whole nodes off the
-    LRU head, slicing the last one when only part of it is needed.
-    """
+    __slots__ = ("starts", "exts")
 
-    __slots__ = ("fid", "idx", "id", "prev", "next")
-
-    def __init__(self, fid: int, idx: np.ndarray, node_id: int):
-        self.fid = fid
-        self.idx = idx
-        self.id = node_id
-        self.prev: _CleanRun | None = None
-        self.next: _CleanRun | None = None
+    def __init__(self):
+        self.starts: list[int] = []
+        self.exts: list[_Extent] = []
 
 
 class _DelayedFlush:
     """A dirty extent waiting out its Sprite-style delay."""
 
-    __slots__ = ("file_id", "offset", "length", "run", "cancelled")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, file_id: int, offset: int, length: int, run: _Run):
-        self.file_id = file_id
-        self.offset = offset
-        self.length = length
-        self.run = run
+    def __init__(self):
         self.cancelled = False
 
 
@@ -214,23 +190,23 @@ class BufferCache:
         # zero registry lookups and no repeated attribute chains.
         self._stats = metrics.cache
         self._record_demand = metrics.record_demand
-        self._files: dict[int, _FileFrames] = {}
+        self._bs = config.block_bytes
+        self._files: dict[int, _FileMap] = {}
         self._resident = 0
-        self._lru_head: _CleanRun | None = None
-        self._lru_tail: _CleanRun | None = None
+        self._next_token = 0
+        self._lru_head: _Extent | None = None
+        self._lru_tail: _Extent | None = None
         self._clean_count = 0
-        self._next_node_id = 0
-        self._nodes: dict[int, _CleanRun] = {}
-        #: waiters keyed by (file_id, block, generation): callbacks of
-        #: demand reads overlapping a block whose disk read is in flight
-        self._waiters: dict[tuple[int, int, int], list[Callable[[], None]]] = {}
+        #: token of an in-flight read -> (last block waited on, pending
+        #: read, blocks waited on) per demand read waiting, in arrival order
+        self._waiters: dict[int, list[tuple[int, _PendingRead, int]]] = {}
         self._frame_waiters: deque[Callable[[], bool]] = deque()
         self._owner_counts: dict[int, int] = {}
         self._streams: dict[int, _StreamState] = {}
         #: known file sizes, bounding prefetch past end-of-file
         self._file_sizes = dict(file_sizes or {})
         self.outstanding_flushes = 0
-        self._delayed_flushes: dict[int, list["_DelayedFlush"]] = {}
+        self._delayed_flushes: dict[int, list[_DelayedFlush]] = {}
         self.on_drained: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
@@ -263,13 +239,14 @@ class BufferCache:
             self.metrics.faults.degraded_requests += 1
             self._bypass_read(file_id, offset, length, on_complete)
             return
-        if self._oversized(offset, length, owner):
+        if self._oversized(offset, length):
             self._bypass_read(file_id, offset, length, on_complete)
             return
         pending = _PendingRead(self, file_id, offset, length, owner, on_complete)
         if not pending.start():
             self.park_for_frames(pending.start)
-        self._after_demand_read(file_id, offset, length, owner)
+        if self.config.read_ahead:
+            self._after_demand_read(file_id, offset, length, owner)
 
     def write(
         self,
@@ -293,7 +270,7 @@ class BufferCache:
             self.metrics.faults.degraded_requests += 1
             self._bypass_write(file_id, offset, length, on_complete)
             return
-        if self._oversized(offset, length, owner):
+        if self._oversized(offset, length):
             self._bypass_write(file_id, offset, length, on_complete)
             return
         pending = _PendingWrite(self, file_id, offset, length, owner, on_complete)
@@ -303,14 +280,14 @@ class BufferCache:
     # ------------------------------------------------------------------
     # Oversized-request bypass
     # ------------------------------------------------------------------
-    def _oversized(self, offset: int, length: int, owner: int) -> bool:
+    def _oversized(self, offset: int, length: int) -> bool:
         """True when the request can never be framed: bigger than the
         cache itself, or bigger than the owner's buffer cap.  Such
         requests go straight to the disk (the classic bypass), otherwise
         they would park forever.
         """
-        first, last = self._block_span(offset, length)
-        needed = last - first + 1
+        bs = self._bs
+        needed = (offset + length - 1) // bs - offset // bs + 1
         if needed > self.config.n_blocks:
             return True
         cap = self.config.max_blocks_per_process
@@ -366,25 +343,8 @@ class BufferCache:
             )
 
     # ------------------------------------------------------------------
-    # Geometry / bookkeeping
+    # Extent maps
     # ------------------------------------------------------------------
-    def _block_span(self, offset: int, length: int) -> tuple[int, int]:
-        """(first_block, last_block) covering [offset, offset+length)."""
-        bs = self.config.block_bytes
-        return offset // bs, (offset + length - 1) // bs
-
-    def _file(self, file_id: int, n_blocks: int) -> _FileFrames:
-        """The file's frame columns, grown to cover ``n_blocks``."""
-        frames = self._files.get(file_id)
-        if frames is None:
-            bs = self.config.block_bytes
-            hint = -(-self._file_sizes.get(file_id, 0) // bs)
-            frames = _FileFrames(max(n_blocks, hint, 64))
-            self._files[file_id] = frames
-        elif frames.st.size < n_blocks:
-            frames.grow(max(n_blocks, 2 * frames.st.size))
-        return frames
-
     @property
     def resident_blocks(self) -> int:
         return self._resident
@@ -392,51 +352,111 @@ class BufferCache:
     def owner_blocks(self, owner: int) -> int:
         return self._owner_counts.get(owner, 0)
 
-    def _drop_frames(self, frames: _FileFrames, idx: np.ndarray) -> None:
-        """Free frames (state -> absent, generation bumped) and settle
-        the owner accounting.  The clean-LRU is NOT touched: callers
-        either evicted via the LRU already or are dropping pinned
-        (reading/dirty/flushing) frames that were never on it.
+    def _file(self, file_id: int) -> _FileMap:
+        fm = self._files.get(file_id)
+        if fm is None:
+            fm = self._files[file_id] = _FileMap()
+        return fm
+
+    def _split(self, fm: _FileMap, k: int, at: int) -> None:
+        """Split ``fm.exts[k]`` at block ``at``.  The right piece goes to
+        index ``k + 1`` and, for a valid extent, right after it in the
+        LRU, so per-block LRU order is unchanged."""
+        e = fm.exts[k]
+        right = _Extent(e.fid, at, e.end, e.state, e.owner, e.pf, e.token)
+        e.end = at
+        fm.starts.insert(k + 1, at)
+        fm.exts.insert(k + 1, right)
+        if e.state == _VALID:
+            nxt = e.next
+            right.prev = e
+            right.next = nxt
+            e.next = right
+            if nxt is None:
+                self._lru_tail = right
+            else:
+                nxt.prev = right
+
+    def _cut(self, fm: _FileMap, at: int) -> int:
+        """Make ``at`` an extent boundary; returns the index of the first
+        extent starting at or after ``at``."""
+        i = bisect_left(fm.starts, at)
+        if i and fm.exts[i - 1].end > at:
+            self._split(fm, i - 1, at)
+        return i
+
+    def _members(self, fm: _FileMap, run: Segments) -> list[_Extent]:
+        """Extents still holding blocks of ``run``, ascending.
+
+        Extents never grow, so every extent carrying a segment's token
+        inside the segment lies wholly within it.
         """
+        starts = fm.starts
+        exts = fm.exts
+        n = len(exts)
+        out = []
+        for lo, hi, token in run:
+            i = bisect_left(starts, lo)
+            while i < n:
+                e = exts[i]
+                if e.start >= hi:
+                    break
+                if e.token == token:
+                    out.append(e)
+                i += 1
+        return out
+
+    def _drop(self, fm: _FileMap, e: _Extent) -> None:
+        """Free an extent's frames.  The clean-LRU is NOT touched: callers
+        either unlinked it already or are dropping pinned frames."""
+        i = bisect_left(fm.starts, e.start)
+        del fm.starts[i]
+        del fm.exts[i]
+        n = e.end - e.start
+        self._owner_counts[e.owner] -= n
+        self._resident -= n
+
+    def _drop_unpinned(self, fm: _FileMap) -> int:
+        """Drop every valid or dirty extent of ``fm``; frames with a disk
+        transfer in flight stay.  Returns the number of dirty blocks
+        dropped."""
+        keep = []
+        freed = dirty = 0
         counts = self._owner_counts
-        n = idx.size
-        if n == 1:
-            first_owner = int(frames.own[int(idx[0])])
-            counts[first_owner] = counts.get(first_owner, 1) - 1
-            frames.st[idx] = _ABSENT
-            frames.gen[idx] += 1
-            self._resident -= 1
-            return
-        own = frames.own[idx]
-        first_owner = int(own[0])
-        if own[-1] == first_owner and (own == first_owner).all():
-            # Runs are allocated by a single process, so most nodes are
-            # single-owner; only write-extent settles can mix owners.
-            counts[first_owner] = counts.get(first_owner, n) - n
-        else:
-            owners, counts_per = np.unique(own, return_counts=True)
-            for owner, n in zip(owners, counts_per):
-                counts[int(owner)] = counts.get(int(owner), int(n)) - int(n)
-        frames.st[idx] = _ABSENT
-        frames.gen[idx] += 1
-        self._resident -= idx.size
+        for e in fm.exts:
+            state = e.state
+            if state == _VALID or state == _DIRTY:
+                n = e.end - e.start
+                if state == _VALID:
+                    self._lru_unlink(e)
+                    self._clean_count -= n
+                else:
+                    dirty += n
+                counts[e.owner] -= n
+                freed += n
+            else:
+                keep.append(e)
+        fm.exts[:] = keep
+        fm.starts[:] = [e.start for e in keep]
+        self._resident -= freed
+        return dirty
 
     # ------------------------------------------------------------------
-    # Clean-LRU run structure
+    # Clean-LRU over valid extents
     # ------------------------------------------------------------------
-    def _lru_append(self, node: _CleanRun) -> None:
-        """Link ``node`` at the MRU (tail) end."""
+    def _lru_append(self, e: _Extent) -> None:
+        """Link ``e`` at the MRU (tail) end."""
         tail = self._lru_tail
-        node.prev = tail
-        node.next = None
+        e.prev = tail
+        e.next = None
         if tail is None:
-            self._lru_head = node
+            self._lru_head = e
         else:
-            tail.next = node
-        self._lru_tail = node
+            tail.next = e
+        self._lru_tail = e
 
-    def _lru_unlink(self, node: _CleanRun) -> None:
-        prev, nxt = node.prev, node.next
+    def _lru_unlink(self, e: _Extent) -> None:
+        prev, nxt = e.prev, e.next
         if prev is None:
             self._lru_head = nxt
         else:
@@ -445,180 +465,98 @@ class BufferCache:
             self._lru_tail = prev
         else:
             nxt.prev = prev
-        node.prev = node.next = None
+        e.prev = e.next = None
 
-    def _clean_append(self, frames: _FileFrames, fid: int, idx: np.ndarray) -> None:
-        """Make frames clean-resident as one MRU run (O(1) list ops)."""
-        node_id = self._next_node_id
-        self._next_node_id = node_id + 1
-        node = _CleanRun(fid, idx, node_id)
-        self._nodes[node_id] = node
-        frames.st[idx] = _VALID
-        frames.nid[idx] = node_id
-        self._lru_append(node)
-        self._clean_count += idx.size
+    def _make_valid(self, exts: list[_Extent]) -> None:
+        """Settle extents clean-resident at the MRU end, in order."""
+        for e in exts:
+            e.state = _VALID
+            self._lru_append(e)
+            self._clean_count += e.end - e.start
 
-    def _clean_touch(self, frames: _FileFrames, idx: np.ndarray) -> None:
-        """Move already-clean frames to MRU, preserving per-block order.
-
-        ``idx`` is in encounter (ascending block) order.  Runs of
-        consecutive frames sharing a node move together: a whole node is
-        relinked in O(1); a partial slice is extracted to a new MRU node
-        while the remainder keeps the node's LRU position -- exactly the
-        per-block order the legacy ``move_to_end`` loop produced.
-        """
-        nids = frames.nid[idx]
-        n = nids.size
-        if n == 0:
-            return
-        nodes = self._nodes
-        # Group boundaries (consecutive equal node ids): one vectorized
-        # pass for wide spans, a plain-list scan for narrow ones (where
-        # the numpy call overhead would dominate).
-        if n > 16:
-            starts = np.flatnonzero(nids[1:] != nids[:-1]) + 1
-            bounds = [0, *starts.tolist(), n]
-        elif n > 1:
-            lst = nids.tolist()
-            bounds = [0]
-            bounds += [i for i in range(1, n) if lst[i] != lst[i - 1]]
-            bounds.append(n)
-        else:
-            bounds = [0, n]
-        for k in range(len(bounds) - 1):
-            i = bounds[k]
-            j = bounds[k + 1]
-            node = nodes[int(nids[i])]
-            group = idx[i:j]
-            if j - i == node.idx.size:
-                if node is not self._lru_tail:
-                    self._lru_unlink(node)
-                    self._lru_append(node)
-            else:
-                node.idx = np.setdiff1d(node.idx, group, assume_unique=True)
-                node_id = self._next_node_id
-                self._next_node_id = node_id + 1
-                new_node = _CleanRun(node.fid, group, node_id)
-                nodes[node_id] = new_node
-                frames.nid[group] = node_id
-                self._lru_append(new_node)
-
-    def _clean_remove(self, frames: _FileFrames, idx: np.ndarray) -> None:
-        """Take specific clean frames out of the LRU (state untouched by
-        this call; callers transition it right after).  Remaining frames
-        of each affected node keep their relative order and the node
-        keeps its LRU position.
-        """
-        nids = frames.nid[idx]
-        n = nids.size
-        if n == 0:
-            return
-        nodes = self._nodes
-        if n > 1:
-            starts = np.flatnonzero(nids[1:] != nids[:-1]) + 1
-            bounds = [0, *starts.tolist(), n]
-        else:
-            bounds = [0, n]
-        for k in range(len(bounds) - 1):
-            i = bounds[k]
-            j = bounds[k + 1]
-            node = nodes[int(nids[i])]
-            if j - i == node.idx.size:
-                self._lru_unlink(node)
-                del nodes[node.id]
-            else:
-                node.idx = np.setdiff1d(node.idx, idx[i:j], assume_unique=True)
-        self._clean_count -= n
+    def _pin(self, exts: list[_Extent], state: int) -> None:
+        """Move extents out of the clean pool into ``state``."""
+        for e in exts:
+            if e.state == _VALID:
+                self._lru_unlink(e)
+                self._clean_count -= e.end - e.start
+            e.state = state
 
     # ------------------------------------------------------------------
     # Frame management
     # ------------------------------------------------------------------
-    def _over_cap(self, owner: int, extra: int) -> bool:
-        cap = self.config.max_blocks_per_process
-        return cap is not None and self.owner_blocks(owner) + extra > cap
+    def _evict(self, e: _Extent, take: int) -> None:
+        """Drop the first ``take`` blocks of the valid extent ``e``."""
+        fm = self._files[e.fid]
+        if take == e.end - e.start:
+            self._lru_unlink(e)
+            self._drop(fm, e)
+        else:
+            i = bisect_left(fm.starts, e.start)
+            e.start += take
+            fm.starts[i] = e.start
+            self._owner_counts[e.owner] -= take
+            self._resident -= take
+        self._clean_count -= take
 
-    def try_allocate_run(
-        self, fid: int, idx: np.ndarray, owner: int, state: int
-    ) -> _Run | None:
-        """Install a run of absent frames, evicting clean LRU as needed.
+    def _allocate(
+        self,
+        fid: int,
+        ranges: list[tuple[int, int]],
+        needed: int,
+        owner: int,
+        state: int,
+        prefetched: bool = False,
+    ) -> int | None:
+        """Install absent block ``ranges`` (``needed`` blocks in all) under
+        one new token, evicting clean LRU as needed; returns the token.
 
         All-or-nothing: returns None (no side effects) when not enough
         frames can be freed.  With an ownership cap, an over-cap process
-        may only recycle its *own* clean frames.  Eviction pops whole
-        runs off the LRU head (splitting at most one), so the per-request
-        cost is O(runs), not O(blocks).
+        may only recycle its *own* clean frames.
         """
-        needed = idx.size
-        frames = self._files[fid]
-        if needed == 0:
-            return _Run(fid, idx, frames.gen[idx].copy())
         counts = self._owner_counts
-        nodes = self._nodes
-        if self._over_cap(owner, needed):
-            cap = self.config.max_blocks_per_process
-            assert cap is not None
-            allowed_new = max(0, cap - counts.get(owner, 0))
-            must_recycle = needed - allowed_new
-            # Scan runs from the LRU head collecting this owner's clean
-            # frames in per-block LRU order (node order, then in-node
-            # order -- the order the legacy per-block scan visited).
-            victims: list[tuple[_CleanRun, np.ndarray]] = []
-            n_found = 0
-            node = self._lru_head
-            while node is not None and n_found < must_recycle:
-                vf = self._files[node.fid]
-                mine = node.idx[vf.own[node.idx] == owner]
-                if mine.size:
-                    take = min(mine.size, must_recycle - n_found)
-                    victims.append((node, mine[:take]))
-                    n_found += take
-                node = node.next
-            if n_found < must_recycle:
+        cap = self.config.max_blocks_per_process
+        if cap is not None and counts.get(owner, 0) + needed > cap:
+            must_recycle = needed - max(0, cap - counts.get(owner, 0))
+            # This owner's clean blocks in per-block LRU order.
+            victims: list[tuple[_Extent, int]] = []
+            found = 0
+            e = self._lru_head
+            while e is not None and found < must_recycle:
+                if e.owner == owner:
+                    take = min(e.end - e.start, must_recycle - found)
+                    victims.append((e, take))
+                    found += take
+                e = e.next
+            if found < must_recycle:
                 return None
-            self._c_evictions.inc(n_found)
-            for node, vidx in victims:
-                vframes = self._files[node.fid]
-                if vidx.size == node.idx.size:
-                    self._lru_unlink(node)
-                    del nodes[node.id]
-                else:
-                    node.idx = np.setdiff1d(node.idx, vidx, assume_unique=True)
-                self._drop_frames(vframes, vidx)
-            self._clean_count -= n_found
+            self._c_evictions.inc(found)
+            for e, take in victims:
+                self._evict(e, take)
         else:
             must_evict = needed - (self.config.n_blocks - self._resident)
             if must_evict > 0:
                 if must_evict > self._clean_count:
                     return None
                 self._c_evictions.inc(must_evict)
-                node = self._lru_head
-                remaining = must_evict
-                while remaining:
-                    k = node.idx.size
-                    vframes = self._files[node.fid]
-                    if k <= remaining:
-                        self._drop_frames(vframes, node.idx)
-                        remaining -= k
-                        nxt = node.next
-                        self._lru_unlink(node)
-                        del nodes[node.id]
-                        node = nxt
-                    else:
-                        self._drop_frames(vframes, node.idx[:remaining])
-                        node.idx = node.idx[remaining:]
-                        remaining = 0
-                self._clean_count -= must_evict
-
-        frames.st[idx] = state
-        frames.own[idx] = owner
-        frames.pf[idx] = False
-        gen = frames.gen[idx] + 1
-        frames.gen[idx] = gen
+                while must_evict:
+                    e = self._lru_head
+                    take = min(e.end - e.start, must_evict)
+                    self._evict(e, take)
+                    must_evict -= take
+        token = self._next_token
+        self._next_token = token + 1
+        fm = self._file(fid)
+        starts = fm.starts
+        exts = fm.exts
+        for lo, hi in ranges:
+            i = bisect_left(starts, lo)
+            starts.insert(i, lo)
+            exts.insert(i, _Extent(fid, lo, hi, state, owner, prefetched, token))
         counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
-        if state == _VALID:
-            self._clean_append(frames, fid, idx)
-        return _Run(fid, idx, gen)
+        return token
 
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
         """Queue a retry closure to run when frames may be available."""
@@ -636,48 +574,16 @@ class BufferCache:
     # ------------------------------------------------------------------
     # Disk interaction
     # ------------------------------------------------------------------
-    def _fire_waiters(self, run: _Run) -> None:
-        """Release demand reads waiting on frames of ``run``, in
-        ascending block order (the order the legacy per-block loop fired
-        them).  Generation matching scopes the firing to this run's
-        incarnation of each block, like the legacy per-object waiter
-        lists; the state may have moved on (e.g. overwritten to
-        flushing) and the waiters are still released -- their data is in
-        the cache either way.
-        """
-        fid = run.fid
-        idx = run.idx
-        lo = int(idx[0])
-        hi = int(idx[-1])
-        # Runs are usually gap-free; then membership is index arithmetic
-        # instead of a searchsorted call per candidate key.
-        contiguous = idx.size == hi - lo + 1
-        matched: list[tuple[int, tuple[int, int, int]]] = []
-        for key in self._waiters:
-            kf, kb, kg = key
-            if kf != fid or kb < lo or kb > hi:
-                continue
-            if contiguous:
-                if run.gen[kb - lo] == kg:
-                    matched.append((kb, key))
-                continue
-            pos = int(np.searchsorted(idx, kb))
-            if pos < idx.size and idx[pos] == kb and run.gen[pos] == kg:
-                matched.append((kb, key))
-        matched.sort()
-        for _, key in matched:
-            for waiter in self._waiters.pop(key):
-                waiter()
-
     def issue_disk_read(
         self,
         file_id: int,
         offset: int,
         length: int,
-        run: _Run,
+        run: Segments,
         on_done: Callable[[], None] | None = None,
     ) -> None:
-        """One disk read covering ``run``; frames settle VALID on arrival.
+        """One disk read covering the single-token ``run``; its blocks
+        settle VALID on arrival.
 
         When the device reports failure (retries exhausted), the reading
         frames are abandoned -- dropped from the cache so a later demand
@@ -686,21 +592,25 @@ class BufferCache:
         """
 
         def arrive(ok: bool) -> None:
-            # A write may have overwritten frames while the read was in
-            # flight (state flushing); only still-reading frames of this
+            # A write may have overwritten blocks while the read was in
+            # flight (now flushing); only still-reading blocks of this
             # allocation settle to VALID (or, on failure, get abandoned).
-            frames = self._files[file_id]
-            idx = run.idx
-            live = idx[
-                (frames.gen[idx] == run.gen) & (frames.st[idx] == _READING)
-            ]
+            fm = self._files[file_id]
+            live = [e for e in self._members(fm, run) if e.state == _READING]
             if ok:
-                if live.size:
-                    self._clean_append(frames, file_id, live)
-            elif live.size:
-                self._drop_frames(frames, live)
-            if self._waiters:
-                self._fire_waiters(run)
+                self._make_valid(live)
+            else:
+                for e in live:
+                    self._drop(fm, e)
+            waiting = self._waiters.pop(run[0][2], None)
+            if waiting is not None:
+                # Release waiters by the last block each waits on (ties
+                # in arrival order): the order a walk over the run's
+                # blocks completes them in.
+                if len(waiting) > 1:
+                    waiting.sort(key=itemgetter(0))
+                for _, pending, n in waiting:
+                    pending.arrived(n)
             if on_done is not None:
                 on_done()
             if self._frame_waiters:
@@ -713,67 +623,59 @@ class BufferCache:
         file_id: int,
         offset: int,
         length: int,
-        run: _Run,
+        run: Segments,
         on_done: Callable[[], None] | None = None,
         *,
         reflush: int = 0,
     ) -> None:
-        """One disk write covering ``run``; frames become clean on finish.
+        """One disk write covering ``run``; its blocks become clean on
+        finish.
 
-        When the device reports failure, frames still dirty-in-flight are
+        When the device reports failure, blocks still dirty-in-flight are
         re-queued (back to dirty, re-flushed after ``reflush_delay_s``) up
         to ``max_reflushes`` times; past that the data is dropped and
         counted as lost.  The ``outstanding_flushes`` latch is held across
         the whole retry saga so the drain callback cannot fire while a
         re-flush is pending.
         """
-        frames = self._files[file_id]
-        idx = run.idx
-        alive = idx[frames.gen[idx] == run.gen]
-        clean = alive[frames.st[alive] == _VALID]
-        if clean.size:
-            self._clean_remove(frames, clean)
-        frames.st[alive] = _FLUSHING
+        self._pin(self._members(self._files[file_id], run), _FLUSHING)
         self.outstanding_flushes += 1
         self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def finished(ok: bool) -> None:
-            frames = self._files[file_id]
-            mask = (frames.gen[idx] == run.gen) & (frames.st[idx] == _FLUSHING)
-            live = idx[mask]
+            fm = self._files[file_id]
+            live = [e for e in self._members(fm, run) if e.state == _FLUSHING]
             if not ok:
-                if live.size and reflush < self.recovery.max_reflushes:
+                if live and reflush < self.recovery.max_reflushes:
                     self.metrics.faults.reflushes += 1
-                    frames.st[live] = _DIRTY
-                    live_gen = run.gen[mask]
+                    for e in live:
+                        e.state = _DIRTY
+                    requeued = [(e.start, e.end, e.token) for e in live]
 
                     def redo() -> None:
                         self.outstanding_flushes -= 1
-                        f2 = self._files[file_id]
-                        still_mask = (f2.gen[live] == live_gen) & (
-                            f2.st[live] == _DIRTY
-                        )
+                        fm = self._files[file_id]
+                        still = [
+                            e
+                            for e in self._members(fm, requeued)
+                            if e.state == _DIRTY
+                        ]
                         self._issue_flush_runs(
-                            file_id,
-                            _Run(file_id, live[still_mask], live_gen[still_mask]),
-                            on_done,
-                            reflush=reflush + 1,
+                            file_id, still, on_done, reflush=reflush + 1
                         )
 
                     # Latch stays held until redo() runs (decrement and
                     # re-issue are back to back, so drain cannot slip in).
                     self.engine.schedule(self.recovery.reflush_delay_s, redo)
                     return
-                if live.size:
-                    # Retries and re-flushes exhausted: write-behind data
-                    # is dropped -- this is the data-at-risk turning into
-                    # data lost.
-                    self.metrics.faults.lost_bytes += (
-                        int(live.size) * self.config.block_bytes
-                    )
-                    self._drop_frames(frames, live)
-            elif live.size:
-                self._clean_append(frames, file_id, live)
+                # Retries and re-flushes exhausted: write-behind data is
+                # dropped -- this is the data-at-risk turning into data
+                # lost.
+                for e in live:
+                    self.metrics.faults.lost_bytes += (e.end - e.start) * self._bs
+                    self._drop(fm, e)
+            else:
+                self._make_valid(live)
             self.outstanding_flushes -= 1
             if on_done is not None:
                 on_done()
@@ -787,61 +689,61 @@ class BufferCache:
     def _issue_flush_runs(
         self,
         file_id: int,
-        run: _Run,
+        exts: list[_Extent],
         on_done: Callable[[], None] | None,
         *,
         reflush: int = 0,
     ) -> None:
-        """Flush a (possibly sparse) set of dirty frames as contiguous runs.
+        """Flush an ascending, possibly sparse set of dirty extents, one
+        disk write per run of contiguous blocks.
 
         Used when only part of an extent still needs writing -- a re-flush
-        after failure, or a delayed flush some of whose frames were
+        after failure, or a delayed flush some of whose blocks were
         already flushed by an overlapping extent.  ``on_done`` rides on
         the last run; with no runs at all it fires synchronously along
         with the drain check the skipped write would have performed.
         """
-        idx = run.idx
-        if idx.size == 0:
+        if not exts:
             if on_done is not None:
                 on_done()
             if self.outstanding_flushes == 0 and self.on_drained is not None:
                 self.on_drained()
             return
-        bs = self.config.block_bytes
-        cut = np.flatnonzero(np.diff(idx) > 1) + 1
-        starts = np.concatenate([[0], cut, [idx.size]])
-        n_runs = starts.size - 1
-        for i in range(n_runs):
-            a, b = int(starts[i]), int(starts[i + 1])
-            sub = _Run(file_id, idx[a:b], run.gen[a:b])
-            run_off = int(idx[a]) * bs
-            run_len = (b - a) * bs
-            done = on_done if i == n_runs - 1 else None
+        runs: list[Segments] = []
+        end = -1
+        for e in exts:
+            if e.start != end:
+                runs.append([])
+            runs[-1].append((e.start, e.end, e.token))
+            end = e.end
+        bs = self._bs
+        last = len(runs) - 1
+        for i, run in enumerate(runs):
+            lo = run[0][0]
             self.issue_disk_write(
-                file_id, run_off, run_len, sub, done, reflush=reflush
+                file_id,
+                lo * bs,
+                (run[-1][1] - lo) * bs,
+                run,
+                on_done if i == last else None,
+                reflush=reflush,
             )
 
     # ------------------------------------------------------------------
     # Delayed writes (Sprite-style, section 2.1)
     # ------------------------------------------------------------------
     def schedule_delayed_flush(
-        self, file_id: int, offset: int, length: int, run: _Run
+        self, file_id: int, offset: int, length: int, run: Segments
     ) -> None:
-        """Hold dirty frames for ``flush_delay_s`` before flushing.
+        """Hold dirty blocks for ``flush_delay_s`` before flushing.
 
         If :meth:`discard_file` removes the file before the delay
         expires -- a compiler temporary deleted young -- the disk write
         never happens: "temporary files which exist for less than 30
         seconds ... [are] never written to disk".
         """
-        frames = self._files[file_id]
-        idx = run.idx
-        alive = idx[frames.gen[idx] == run.gen]
-        clean = alive[frames.st[alive] == _VALID]
-        if clean.size:
-            self._clean_remove(frames, clean)
-        frames.st[alive] = _DIRTY
-        handle = _DelayedFlush(file_id, offset, length, run)
+        self._pin(self._members(self._files[file_id], run), _DIRTY)
+        handle = _DelayedFlush()
         self._delayed_flushes.setdefault(file_id, []).append(handle)
         self.outstanding_flushes += 1  # keeps drain accounting honest
         self._g_wb_queue.set_max(self.outstanding_flushes)
@@ -855,23 +757,26 @@ class BufferCache:
                 if self.outstanding_flushes == 0 and self.on_drained is not None:
                     self.on_drained()
                 return
-            # Only frames still dirty in this run's incarnation belong to
-            # this flush.  A frame rewritten during the delay is owned by
-            # the *newer* delayed extent (same generation, so it stays
-            # here, and the newer flush finds it flushing and skips it);
-            # one already flushed or evicted is flushing/valid/absent and
+            # Only blocks still dirty in this run's incarnation belong to
+            # this flush.  A block rewritten during the delay is owned by
+            # the *newer* delayed extent (same token, so it stays here,
+            # and the newer flush finds it flushing and skips it); one
+            # already flushed or evicted is flushing/valid/absent and
             # writing it again would double-count the bytes in the write
             # statistics.
-            f2 = self._files[file_id]
-            live = idx[(f2.gen[idx] == run.gen) & (f2.st[idx] == _DIRTY)]
-            if live.size == idx.size:
+            live = [
+                e
+                for e in self._members(self._files[file_id], run)
+                if e.state == _DIRTY
+            ]
+            if sum(e.end - e.start for e in live) == sum(
+                hi - lo for lo, hi, _ in run
+            ):
                 # Whole extent intact: one contiguous write, exactly as
                 # originally queued.
                 self.issue_disk_write(file_id, offset, length, run)
             else:
-                self._issue_flush_runs(
-                    file_id, _Run(file_id, live, f2.gen[live].copy()), None
-                )
+                self._issue_flush_runs(file_id, live, None)
 
         self.engine.schedule(self.config.flush_delay_s, fire)
 
@@ -887,14 +792,9 @@ class BufferCache:
                 handle.cancelled = True
                 cancelled += 1
                 self._stats.writes_cancelled += 1
-        frames = self._files.get(file_id)
-        if frames is not None:
-            clean = np.flatnonzero(frames.st == _VALID)
-            if clean.size:
-                self._clean_remove(frames, clean)
-            gone = np.flatnonzero((frames.st == _VALID) | (frames.st == _DIRTY))
-            if gone.size:
-                self._drop_frames(frames, gone)
+        fm = self._files.get(file_id)
+        if fm is not None:
+            self._drop_unpinned(fm)
         self._streams.pop(file_id, None)
         if cancelled:
             self._kick_frame_waiters()
@@ -911,10 +811,12 @@ class BufferCache:
         this many bytes.
         """
         n = sum(
-            int(np.count_nonzero((f.st == _DIRTY) | (f.st == _FLUSHING)))
-            for f in self._files.values()
+            e.end - e.start
+            for fm in self._files.values()
+            for e in fm.exts
+            if e.state == _DIRTY or e.state == _FLUSHING
         )
-        return n * self.config.block_bytes
+        return n * self._bs
 
     def enter_degraded(self) -> None:
         """The SSD died: dump its contents, route everything to disk.
@@ -929,17 +831,8 @@ class BufferCache:
             return
         self.degraded = True
         self.metrics.faults.degraded_at_s = self.engine.now
-        lost = 0
-        for frames in self._files.values():
-            clean = np.flatnonzero(frames.st == _VALID)
-            if clean.size:
-                self._clean_remove(frames, clean)
-            dirty = np.flatnonzero(frames.st == _DIRTY)
-            lost += int(dirty.size)
-            gone = np.flatnonzero((frames.st == _VALID) | (frames.st == _DIRTY))
-            if gone.size:
-                self._drop_frames(frames, gone)
-        self.metrics.faults.lost_bytes += lost * self.config.block_bytes
+        lost = sum(self._drop_unpinned(fm) for fm in self._files.values())
+        self.metrics.faults.lost_bytes += lost * self._bs
         # Parked requests retry through their original (cache-mediated)
         # closure; the pool just emptied, so let them finish that way.
         self._kick_frame_waiters()
@@ -950,8 +843,6 @@ class BufferCache:
     def _after_demand_read(
         self, file_id: int, offset: int, length: int, owner: int
     ) -> None:
-        if not self.config.read_ahead:
-            return
         stream = self._streams.get(file_id)
         end = offset + length
         if stream is not None and offset == stream.next_offset:
@@ -967,28 +858,53 @@ class BufferCache:
         file_end = self._file_sizes.get(file_id, 0)
         window_end = min(window_end, file_end)
         start = max(stream.prefetch_until, stream.next_offset)
-        bs = self.config.block_bytes
+        bs = self._bs
+        stats = self._stats
+        fm = self._file(file_id)
         while start < window_end:
             length = min(stream.length, window_end - start)
-            first, last = self._block_span(start, length)
-            frames = self._file(file_id, last + 1)
-            # Only prefetch runs of absent blocks; stop growing the window
-            # when frames are unavailable (prefetch never parks).
-            absent = (
-                np.flatnonzero(frames.st[first:last + 1] == _ABSENT) + first
-            )
-            if absent.size:
-                run = self.try_allocate_run(file_id, absent, owner, _READING)
-                if run is None:
+            # Only prefetch absent blocks; stop growing the window when
+            # frames are unavailable (prefetch never parks).
+            gaps = _gaps(fm, start // bs, (start + length - 1) // bs + 1)
+            if gaps:
+                needed = sum(hi - lo for lo, hi in gaps)
+                token = self._allocate(
+                    file_id, gaps, needed, owner, _READING, prefetched=True
+                )
+                if token is None:
                     break
-                frames.pf[absent] = True
-                run_off = int(absent[0]) * bs
-                run_len = (int(absent[-1]) - int(absent[0]) + 1) * bs
-                self._stats.prefetch_issued += 1
-                self._stats.prefetch_blocks += int(absent.size)
-                self.issue_disk_read(file_id, run_off, run_len, run)
+                lo = gaps[0][0]
+                hi = gaps[-1][1]
+                stats.prefetch_issued += 1
+                stats.prefetch_blocks += needed
+                self.issue_disk_read(
+                    file_id, lo * bs, (hi - lo) * bs, [(lo, hi, token)]
+                )
             start += length
             stream.prefetch_until = start
+
+
+def _gaps(fm: _FileMap, first: int, end: int) -> list[tuple[int, int]]:
+    """Absent block ranges within ``[first, end)``, ascending."""
+    starts = fm.starts
+    exts = fm.exts
+    i = bisect_left(starts, first)
+    pos = first
+    if i and exts[i - 1].end > first:
+        pos = exts[i - 1].end
+    gaps = []
+    n = len(exts)
+    while i < n:
+        s = starts[i]
+        if s >= end:
+            break
+        if s > pos:
+            gaps.append((pos, s))
+        pos = exts[i].end
+        i += 1
+    if pos < end:
+        gaps.append((pos, end))
+    return gaps
 
 
 class _PendingRead:
@@ -1026,85 +942,101 @@ class _PendingRead:
     def start(self) -> bool:
         """Classify the span and issue disk reads; False to retry later."""
         cache = self.cache
-        stats = cache._stats
-        first, last = cache._block_span(self.offset, self.length)
+        bs = cache._bs
+        first = self.offset // bs
+        end = (self.offset + self.length - 1) // bs + 1
         fid = self.file_id
-        frames = cache._file(fid, last + 1)
-        seg = frames.st[first:last + 1]
-        span = seg.size
+        fm = cache._file(fid)
+        starts = fm.starts
+        exts = fm.exts
+        # Split resident extents at the span's edges where this read
+        # changes them (an LRU touch or a prefetch-bit clear).
+        for edge in (first, end):
+            i = bisect_left(starts, edge)
+            if i:
+                e = exts[i - 1]
+                if e.end > edge and (
+                    e.state == _VALID or (e.pf and e.state != _READING)
+                ):
+                    cache._split(fm, i - 1, edge)
 
-        if not seg.any():
-            # Cold read: the whole span is one missing run.
-            n_miss = span
-            n_hit = n_inflight = n_ra_hit = 0
-            missing: list[np.ndarray] = [np.arange(first, last + 1)]
-            reading = _EMPTY_IDX
-        else:
-            absent = np.flatnonzero(seg == _ABSENT)
-            reading = np.flatnonzero(seg == _READING) + first
-            n_miss = int(absent.size)
-            n_inflight = int(reading.size)
-            n_hit = span - n_miss - n_inflight
-            if n_hit:
-                resident = np.flatnonzero(seg >= _VALID) + first
-                pf_hits = resident[frames.pf[resident]]
-                n_ra_hit = int(pf_hits.size)
-                if n_ra_hit:
-                    frames.pf[pf_hits] = False
-                touched = resident[frames.st[resident] == _VALID]
-                if touched.size:
-                    cache._clean_touch(frames, touched)
+        missing: list[tuple[int, int]] = []
+        #: token -> [blocks in flight, last such block]
+        inflight: dict[int, list[int]] = {}
+        n_hit = n_ra_hit = 0
+        pos = first
+        i = bisect_left(starts, first)
+        if i and exts[i - 1].end > first:
+            i -= 1
+        n = len(exts)
+        while i < n:
+            e = exts[i]
+            s = e.start
+            if s >= end:
+                break
+            if s > pos:
+                missing.append((pos, s))
+            lo = s if s > first else first
+            pos = e.end
+            hi = pos if pos < end else end
+            if e.state == _READING:
+                w = inflight.get(e.token)
+                if w is None:
+                    inflight[e.token] = [hi - lo, hi - 1]
+                else:
+                    w[0] += hi - lo
+                    w[1] = hi - 1
             else:
-                n_ra_hit = 0
-            if n_miss:
-                cut = np.flatnonzero(np.diff(absent) > 1) + 1
-                missing = [
-                    part + first for part in np.split(absent, cut)
-                ]
-            else:
-                missing = []
+                n_hit += hi - lo
+                if e.pf:
+                    n_ra_hit += hi - lo
+                    e.pf = False
+                if e.state == _VALID and e is not cache._lru_tail:
+                    cache._lru_unlink(e)
+                    cache._lru_append(e)
+            i += 1
+        if pos < end:
+            missing.append((pos, end))
 
         # Allocate every missing run up front; all-or-nothing.
-        allocated: list[_Run] = []
-        for idx in missing:
-            run = cache.try_allocate_run(fid, idx, self.owner, _READING)
-            if run is None:
-                for done in allocated:
-                    cache._drop_frames(frames, done.idx)
+        allocated: Segments = []
+        for lo, hi in missing:
+            token = cache._allocate(fid, [(lo, hi)], hi - lo, self.owner, _READING)
+            if token is None:
+                for done_lo, _, _ in allocated:
+                    cache._drop(fm, exts[bisect_left(starts, done_lo)])
                 return False
-            allocated.append(run)
+            allocated.append((lo, hi, token))
 
+        n_inflight = sum(w[0] for w in inflight.values())
         if not self.counted:
+            stats = cache._stats
             stats.block_hits += n_hit
-            stats.block_misses += n_miss
+            stats.block_misses += end - first - n_hit - n_inflight
             stats.block_inflight_hits += n_inflight
             stats.readahead_hits += n_ra_hit
             self.counted = True
 
         self.outstanding = len(allocated) + n_inflight
 
-        if n_inflight:
-            waiters = cache._waiters
-            gens = frames.gen[reading]
-            for b, g in zip(reading, gens):
-                key = (fid, int(b), int(g))
-                lst = waiters.get(key)
-                if lst is None:
-                    waiters[key] = [self._one_arrived]
-                else:
-                    lst.append(self._one_arrived)
-        bs = cache.config.block_bytes
-        for run in allocated:
-            run_off = int(run.idx[0]) * bs
-            run_len = int(run.idx.size) * bs
-            cache.issue_disk_read(fid, run_off, run_len, run, self._one_arrived)
+        waiters = cache._waiters
+        for token, (count, last) in inflight.items():
+            entry = (last, self, count)
+            lst = waiters.get(token)
+            if lst is None:
+                waiters[token] = [entry]
+            else:
+                lst.append(entry)
+        for seg in allocated:
+            lo, hi, _ = seg
+            cache.issue_disk_read(fid, lo * bs, (hi - lo) * bs, [seg], self.arrived)
 
         if self.outstanding == 0:
             self._finish()
         return True
 
-    def _one_arrived(self) -> None:
-        self.outstanding -= 1
+    def arrived(self, n: int = 1) -> None:
+        self.outstanding -= n
         if self.outstanding == 0:
             self._finish()
 
@@ -1114,9 +1046,6 @@ class _PendingRead:
         # suspending the process" -- so it is handed to the caller to
         # charge as computation.
         self.on_complete(self.cache.config.hit_penalty_s(self.length))
-
-
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 
 class _PendingWrite:
@@ -1142,31 +1071,41 @@ class _PendingWrite:
 
     def start(self) -> bool:
         cache = self.cache
-        first, last = cache._block_span(self.offset, self.length)
+        bs = cache._bs
+        first = self.offset // bs
+        end = (self.offset + self.length - 1) // bs + 1
         fid = self.file_id
-        frames = cache._file(fid, last + 1)
-        seg = frames.st[first:last + 1]
-        # Snapshot the whole span's generations before allocating: if the
-        # allocation evicts one of this request's own present frames, its
-        # bumped generation no longer matches and the extent write treats
-        # it as dead (the legacy dead-Block ride-along case).
-        gen_span = frames.gen[first:last + 1].copy()
-        if seg.any():
-            absent = np.flatnonzero(seg == _ABSENT) + first
-        else:
-            absent = np.arange(first, last + 1)
-        # New frames go straight to dirty: every write path immediately
-        # transitions them out of the clean pool anyway, and nothing
-        # observes the LRU between allocation and that transition, so
-        # skipping the clean-LRU round trip changes no behavior.
-        new_run = cache.try_allocate_run(fid, absent, self.owner, _DIRTY)
-        if new_run is None:
-            return False
-        if absent.size != seg.size:
-            present = np.flatnonzero(frames.st[first:last + 1] != _ABSENT) + first
-            frames.pf[present] = False
-        gen_span[absent - first] = new_run.gen
-        run = _Run(fid, np.arange(first, last + 1), gen_span)
+        fm = cache._file(fid)
+        i = cache._cut(fm, first)
+        j = cache._cut(fm, end)
+        # Snapshot the span's tokens before allocating: if the allocation
+        # evicts one of this request's own present blocks, the block no
+        # longer carries its token and the write treats it as dead (the
+        # reference implementation's dead-Block ride-along case).
+        present = fm.exts[i:j]
+        run: Segments = []
+        gaps = []
+        pos = first
+        for e in present:
+            if e.start > pos:
+                gaps.append((pos, e.start))
+            run.append((e.start, e.end, e.token))
+            pos = e.end
+        if pos < end:
+            gaps.append((pos, end))
+        if gaps:
+            # New frames go straight to dirty: every write path
+            # immediately transitions them out of the clean pool anyway,
+            # and nothing observes the LRU in between.
+            token = cache._allocate(
+                fid, gaps, sum(hi - lo for lo, hi in gaps), self.owner, _DIRTY
+            )
+            if token is None:
+                return False
+            run += [(lo, hi, token) for lo, hi in gaps]
+            run.sort()
+        for e in present:
+            e.pf = False
 
         if cache.config.write_behind:
             # Data lands in the cache; the writer continues immediately,
