@@ -501,8 +501,14 @@ class BufferCache:
                     for b in live:
                         self._drop(b)
             else:
+                # Identity, not key membership: a block evicted while its
+                # write was queued may have been re-allocated under the
+                # same key, and the new incarnation is not this write's.
                 for block in blocks:
-                    if block.state is _FLUSHING and block.key in self._blocks:
+                    if (
+                        block.state is _FLUSHING
+                        and self._blocks.get(block.key) is block
+                    ):
                         self.make_valid(block)
             self.outstanding_flushes -= 1
             if on_done is not None:
@@ -869,7 +875,9 @@ class _PendingWrite:
             return False
         for block in present:
             block.prefetched = False
-        blocks = present + new_blocks
+        # Ascending block order: the order a completed write settles its
+        # blocks into the clean LRU.
+        blocks = sorted(present + new_blocks, key=lambda b: b.key[1])
 
         if cache.config.write_behind:
             # Data lands in the cache; the writer continues immediately,

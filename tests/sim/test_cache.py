@@ -3,29 +3,53 @@
 import pytest
 
 from repro.sim.cache import BlockState, BufferCache
+from repro.sim.cache_legacy import BufferCache as LegacyBufferCache
 from repro.sim.config import CacheConfig, DiskConfig, ssd_cache
 from repro.sim.devices import DiskModel
 from repro.sim.events import Engine
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.metrics import Metrics
+from repro.sim.recovery import RecoveringDevice
 from repro.util.units import KB, MB
+
+IMPLS = {"fast": BufferCache, "legacy": LegacyBufferCache}
 
 
 class Harness:
-    """A cache wired to an engine and a rotation-free disk."""
+    """A cache wired to an engine and a rotation-free disk.
 
-    def __init__(self, **cache_kw):
+    ``impl`` picks the extent-map cache or the per-block reference;
+    ``faults`` is an inline fault-plan spec for the device.
+    """
+
+    def __init__(self, impl="fast", faults=None, **cache_kw):
         file_sizes = cache_kw.pop("file_sizes", {1: 64 * MB, 2: 64 * MB})
         self.engine = Engine()
         self.metrics = Metrics()
         self.disk = DiskModel(DiskConfig(rotation_period_s=0.0), seed=0)
+        device = None
+        if faults is not None:
+            plan = FaultPlan.from_spec(faults)
+            device = RecoveringDevice(
+                self.disk,
+                self.engine,
+                FaultInjector(plan.faults),
+                plan.recovery,
+                self.metrics,
+            )
         if cache_kw.pop("ssd", False):
             config = ssd_cache(cache_kw.pop("size_bytes", 1 * MB), **cache_kw)
         else:
             cache_kw.setdefault("size_bytes", 1 * MB)
             cache_kw.setdefault("block_bytes", 4 * KB)
             config = CacheConfig(**cache_kw)
-        self.cache = BufferCache(
-            config, self.engine, self.disk, self.metrics, file_sizes=file_sizes
+        self.cache = IMPLS[impl](
+            config,
+            self.engine,
+            self.disk,
+            self.metrics,
+            file_sizes=file_sizes,
+            device=device,
         )
         self.completions: list[float] = []
 
@@ -230,3 +254,141 @@ class TestSSDPenalties:
         assert config.hit_penalty_s(456 * KB) == 0.0
         ssd = ssd_cache(256 * MB)
         assert ssd.hit_penalty_s(456 * KB) == pytest.approx(50e-6 + 456e-6)
+
+
+B = 4 * KB
+
+
+def lru_blocks(cache) -> list[tuple[int, int]]:
+    """Clean blocks as ``(file, block)`` in LRU order, eviction first."""
+    if isinstance(cache, LegacyBufferCache):
+        return list(cache._clean_lru)
+    out = []
+    e = cache._lru_head
+    while e is not None:
+        out.extend((e.fid, b) for b in range(e.start, e.end))
+        e = e.next
+    return out
+
+
+def lru_extents(cache) -> list[tuple[int, int, int]]:
+    """The extent-map cache's LRU nodes as ``(file, start, end)``."""
+    out = []
+    e = cache._lru_head
+    while e is not None:
+        out.append((e.fid, e.start, e.end))
+        e = e.next
+    return out
+
+
+def blocks(fid, *ranges) -> list[tuple[int, int]]:
+    return [(fid, b) for lo, hi in ranges for b in range(lo, hi)]
+
+
+@pytest.mark.parametrize("impl", sorted(IMPLS))
+class TestExtentEdges:
+    """Edge cases of the extent map, checked on both implementations:
+    the per-block reference defines the expected LRU order."""
+
+    def test_touch_in_middle_of_lru_range(self, impl):
+        h = Harness(impl, size_bytes=16 * B, read_ahead=False)
+        h.read(0, 16 * B)
+        h.run()
+        h.read(6 * B, 4 * B)  # resident: a hit in the middle of one node
+        assert lru_blocks(h.cache) == blocks(1, (0, 6), (10, 16), (6, 10))
+        if impl == "fast":
+            assert lru_extents(h.cache) == [(1, 0, 6), (1, 10, 16), (1, 6, 10)]
+        h.read(0, 8 * B, fid=2)  # evicts the 8 least recent blocks
+        h.run()
+        assert lru_blocks(h.cache) == (
+            blocks(1, (12, 16), (6, 10)) + blocks(2, (0, 8))
+        )
+
+    def test_eviction_splits_head_range(self, impl):
+        h = Harness(impl, size_bytes=16 * B, read_ahead=False)
+        h.read(0, 12 * B)
+        h.run()
+        h.read(0, 8 * B, fid=2)  # 4 free frames: evict 4 of the head's 12
+        h.run()
+        assert h.cache.resident_blocks == 16
+        assert lru_blocks(h.cache) == blocks(1, (4, 12)) + blocks(2, (0, 8))
+        if impl == "fast":
+            assert lru_extents(h.cache) == [(1, 4, 12), (2, 0, 8)]
+
+    def test_write_on_inflight_read_is_not_settled_by_it(self, impl):
+        # Blocks 2-3 are overwritten (dirty, delayed flush) while the read
+        # covering them is in flight: its completion settles 0-1 and 4-7
+        # only, and still releases a reader waiting on the whole span.
+        h = Harness(impl, size_bytes=16 * B, read_ahead=False, flush_delay_s=0.5)
+        seen = []
+
+        def first_done(penalty=0.0):
+            seen.append((h.cache.dirty_bytes(), lru_blocks(h.cache)))
+
+        h.cache.read(1, 0, 8 * B, 1, first_done)
+        h.read(0, 8 * B)  # waits on the in-flight blocks
+        h.write(2 * B, 2 * B)
+        h.run()
+        assert seen == [(2 * B, blocks(1, (0, 2), (4, 8)))]
+        assert len(h.completions) == 2  # the absorbed write and the waiter
+        assert h.metrics.cache.block_inflight_hits == 8
+        # The delayed flush landed: 2-3 are clean, most recent.
+        assert h.cache.dirty_bytes() == 0
+        assert lru_blocks(h.cache) == blocks(1, (0, 2), (4, 8), (2, 4))
+
+    def test_failed_read_abandons_its_frames(self, impl):
+        h = Harness(impl, faults="error=1.0,max_retries=0", read_ahead=False)
+        h.read(0, 8 * B)
+        h.run()
+        assert len(h.completions) == 1  # reported failed, not lost
+        assert h.metrics.faults.failed_reads == 1
+        assert h.cache.resident_blocks == 0
+        assert h.cache.owner_blocks(1) == 0
+        h.read(0, 8 * B)  # nothing was cached: all misses again
+        h.run()
+        assert h.metrics.cache.block_misses == 16
+
+    def test_reflush_over_sparse_extent(self, impl):
+        # Every device write fails.  The short write of blocks 3-4 fails
+        # first and re-queues them on its own, so the long write's
+        # re-flush covers the sparse set 0-2 + 5-7: two disk writes.
+        h = Harness(
+            impl,
+            faults="error=1.0,max_retries=0,max_reflushes=1,reflush_delay=0.5",
+            read_ahead=False,
+        )
+        writes = []
+        submit = h.cache.device.submit
+
+        def record(fid, offset, length, *, is_write, on_done):
+            if is_write:
+                writes.append((offset // B, length // B))
+            submit(fid, offset, length, is_write=is_write, on_done=on_done)
+
+        h.cache.device.submit = record
+        h.write(0, 8 * B)
+        h.write(3 * B, 2 * B)
+        h.run()
+        assert writes == [(0, 8), (3, 2), (3, 2), (0, 3), (5, 3)]
+        # Re-flushes exhausted: everything dirty was dropped as lost.
+        assert h.metrics.faults.lost_bytes == 8 * B
+        assert h.cache.resident_blocks == 0
+        assert h.cache.outstanding_flushes == 0
+
+    def test_write_does_not_settle_block_reallocated_under_it(self, impl):
+        # The write's allocation evicts its own present block 0; a read
+        # re-allocates block 0 while the write is in flight.  The write
+        # finishes first and must settle only block 1: block 0 belongs
+        # to the read now and is still in flight.
+        h = Harness(impl, size_bytes=4 * B, read_ahead=False, write_behind=False)
+        h.read(0, B)
+        h.run()
+        h.read(0, 3 * B, fid=2)
+        h.run()
+        seen = []
+        h.cache.write(1, 0, 2 * B, 1, lambda p=0.0: seen.append(lru_blocks(h.cache)))
+        h.engine.run(until=h.engine.now + 2e-3)
+        h.read(0, B)
+        h.run()
+        assert seen == [blocks(2, (1, 3)) + [(1, 1)]]
+        assert lru_blocks(h.cache) == blocks(2, (1, 3)) + [(1, 1), (1, 0)]

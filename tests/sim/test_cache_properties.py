@@ -1,14 +1,19 @@
 """Property-based invariants of the buffer cache under random traffic."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cache import BufferCache
+from repro.sim.cache_legacy import BufferCache as LegacyBufferCache
 from repro.sim.config import CacheConfig, DiskConfig
 from repro.sim.devices import DiskModel
 from repro.sim.events import Engine
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.metrics import Metrics
+from repro.sim.recovery import RecoveringDevice
 from repro.util.units import KB, MB
 
 request_strategy = st.tuples(
@@ -149,3 +154,130 @@ def test_frame_starvation_resolves():
     engine.run(max_events=1_000_000)
     assert len(done) == 6
     assert cache.outstanding_flushes == 0
+
+
+# ---------------------------------------------------------------------------
+# Extent-map cache == per-block reference, operation by operation
+# ---------------------------------------------------------------------------
+BLOCK = 4 * KB
+FILE_BLOCKS = 48
+
+FAULT_SPECS = (
+    None,
+    "error=0.2,slow=0.1,seed=5,max_retries=1",
+    "error=0.5,seed=9,max_retries=0,max_reflushes=1,reflush_delay=0.01",
+)
+
+
+@st.composite
+def cache_op(draw, n_owners: int):
+    kind = draw(
+        st.sampled_from(
+            ["read"] * 8 + ["write"] * 6 + ["run"] * 4 + ["discard", "degrade"]
+        )
+    )
+    if kind in ("read", "write"):
+        return (
+            kind,
+            draw(st.integers(0, 1)),  # file
+            draw(st.integers(0, FILE_BLOCKS - 1)),  # first block
+            draw(st.integers(1, 8)),  # blocks per request
+            draw(st.integers(1, n_owners)),  # owner
+            draw(st.integers(1, 6)),  # sequential same-size requests
+        )
+    if kind == "run":
+        return (kind, draw(st.sampled_from([0.001, 0.005, 0.02, 0.1])))
+    if kind == "discard":
+        return (kind, draw(st.integers(0, 1)))
+    return (kind,)
+
+
+@st.composite
+def op_scenario(draw):
+    n_owners = draw(st.integers(1, 3))
+    cfg = dict(
+        size_bytes=draw(st.sampled_from([8, 16, 32])) * BLOCK,
+        block_bytes=BLOCK,
+        read_ahead=draw(st.booleans()),
+        write_behind=draw(st.booleans()),
+        flush_delay_s=draw(st.sampled_from([0.0, 0.05])),
+        max_blocks_per_process=draw(st.sampled_from([None, 6, 16])),
+    )
+    ops = draw(st.lists(cache_op(n_owners), min_size=4, max_size=40))
+    return cfg, draw(st.sampled_from(FAULT_SPECS)), ops
+
+
+def replay_history(cache_class, cfg, fault_spec, ops) -> list:
+    """Drive one cache through ``ops``; return everything observable.
+
+    The history holds every device submission and request completion
+    with its simulated time, the cache's accounting after each
+    operation, and the final cache and fault counters.
+    """
+    engine = Engine()
+    metrics = Metrics()
+    disk = DiskModel(DiskConfig(), seed=3)  # rotational draws are seeded
+    plan = FaultPlan.from_spec(fault_spec) if fault_spec else FaultPlan()
+    device = RecoveringDevice(
+        disk, engine, FaultInjector(plan.faults, seed=3), plan.recovery, metrics
+    )
+    history: list = []
+    submit = device.submit
+
+    def record_submit(fid, offset, length, *, is_write, on_done):
+        history.append(("submit", engine.now, fid, offset, length, is_write))
+        submit(fid, offset, length, is_write=is_write, on_done=on_done)
+
+    device.submit = record_submit
+    cache = cache_class(
+        CacheConfig(**cfg),
+        engine,
+        disk,
+        metrics,
+        file_sizes={fid: FILE_BLOCKS * BLOCK for fid in range(2)},
+        device=device,
+    )
+    for k, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("read", "write"):
+            _, fid, first, n, owner, repeat = op
+            request = cache.read if kind == "read" else cache.write
+            for r in range(repeat):
+
+                def done(penalty=0.0, key=(k, r)):
+                    history.append(("done", key, engine.now, penalty))
+
+                request(fid, (first + r * n) * BLOCK, n * BLOCK, owner, done)
+        elif kind == "run":
+            engine.run(until=engine.now + op[1], max_events=200_000)
+        elif kind == "discard":
+            history.append(("cancelled", cache.discard_file(op[1])))
+        else:
+            cache.enter_degraded()
+        history.append(
+            (
+                "state",
+                cache.resident_blocks,
+                [cache.owner_blocks(o) for o in (1, 2, 3)],
+                cache.dirty_bytes(),
+                cache.outstanding_flushes,
+            )
+        )
+    engine.run(max_events=1_000_000)
+    history.append(("cache", dataclasses.astuple(metrics.cache)))
+    history.append(("faults", dataclasses.astuple(metrics.faults)))
+    history.append(("end", engine.now, engine.events_run, cache.resident_blocks))
+    return history
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario=op_scenario())
+def test_extent_cache_matches_reference_operation_by_operation(scenario):
+    """Random reads, writes, file discards and SSD failures through a
+    small cache -- 1-3 owners, with and without a per-process cap and a
+    fault plan -- must produce identical histories (hence identical
+    digests) from the extent-map cache and the per-block reference."""
+    cfg, fault_spec, ops = scenario
+    fast = replay_history(BufferCache, cfg, fault_spec, ops)
+    legacy = replay_history(LegacyBufferCache, cfg, fault_spec, ops)
+    assert fast == legacy
