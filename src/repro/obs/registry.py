@@ -10,8 +10,11 @@ Cost model
 ----------
 Instrumentation must not perturb the reproduction.  A *disabled*
 registry (the default) hands out shared null instruments whose methods
-are empty -- the per-event cost is one attribute lookup plus a no-op
-call, and nothing is allocated on the hot path.  Crucially the
+are empty -- a call costs one attribute lookup plus a no-op call, and
+nothing is allocated.  The simulator's per-event code makes no such call
+at all: it keeps plain counts that ``SimulatedSystem._publish_obs``
+publishes after the run, and wires per-event peaks and histograms only
+for an enabled registry (``reg.enabled``).  Crucially the
 instruments never touch simulated state or RNG streams, so enabling
 metrics cannot change simulation results; disabling them keeps default
 benchmark numbers unchanged.

@@ -183,14 +183,21 @@ class BufferCache:
         #: SSD failed: bypass the cache, fall through to the disk
         self.degraded = False
         reg = obs if obs is not None else get_registry()
-        self._c_evictions = reg.counter("sim.cache.evictions")
-        self._c_parks = reg.counter("sim.cache.frame_wait_parks")
-        self._g_wb_queue = reg.gauge("sim.cache.writebehind_queue_depth")
+        #: write-behind queue peak, tracked only for an enabled registry
+        self._g_wb_queue = (
+            reg.gauge("sim.cache.writebehind_queue_depth") if reg.enabled else None
+        )
+        #: blocks evicted; SimulatedSystem publishes it after the run
+        self.evictions = 0
         # Hot-path locals: resolved once so the per-request code performs
         # zero registry lookups and no repeated attribute chains.
         self._stats = metrics.cache
         self._record_demand = metrics.record_demand
         self._bs = config.block_bytes
+        self._n_blocks = config.n_blocks
+        self._cap = config.max_blocks_per_process
+        #: main-memory cache: every hit penalty is zero
+        self._free_hits = config.hit_setup_s == 0.0 and config.hit_per_kb_s == 0.0
         self._files: dict[int, _FileMap] = {}
         self._resident = 0
         self._next_token = 0
@@ -288,9 +295,9 @@ class BufferCache:
         """
         bs = self._bs
         needed = (offset + length - 1) // bs - offset // bs + 1
-        if needed > self.config.n_blocks:
+        if needed > self._n_blocks:
             return True
-        cap = self.config.max_blocks_per_process
+        cap = self._cap
         return cap is not None and needed > cap
 
     def _bypass_read(
@@ -319,7 +326,8 @@ class BufferCache:
             # The device streams straight from the writer's memory; the
             # writer continues once the transfer is handed off.
             self.outstanding_flushes += 1
-            self._g_wb_queue.set_max(self.outstanding_flushes)
+            if self._g_wb_queue is not None:
+                self._g_wb_queue.set_max(self.outstanding_flushes)
 
             def finished(ok: bool) -> None:
                 if not ok:
@@ -516,7 +524,7 @@ class BufferCache:
         may only recycle its *own* clean frames.
         """
         counts = self._owner_counts
-        cap = self.config.max_blocks_per_process
+        cap = self._cap
         if cap is not None and counts.get(owner, 0) + needed > cap:
             must_recycle = needed - max(0, cap - counts.get(owner, 0))
             # This owner's clean blocks in per-block LRU order.
@@ -531,15 +539,15 @@ class BufferCache:
                 e = e.next
             if found < must_recycle:
                 return None
-            self._c_evictions.inc(found)
+            self.evictions += found
             for e, take in victims:
                 self._evict(e, take)
         else:
-            must_evict = needed - (self.config.n_blocks - self._resident)
+            must_evict = needed - (self._n_blocks - self._resident)
             if must_evict > 0:
                 if must_evict > self._clean_count:
                     return None
-                self._c_evictions.inc(must_evict)
+                self.evictions += must_evict
                 while must_evict:
                     e = self._lru_head
                     take = min(e.end - e.start, must_evict)
@@ -561,7 +569,6 @@ class BufferCache:
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
         """Queue a retry closure to run when frames may be available."""
         self._stats.frame_stalls += 1
-        self._c_parks.inc()
         self._frame_waiters.append(retry)
 
     def _kick_frame_waiters(self) -> None:
@@ -640,7 +647,8 @@ class BufferCache:
         """
         self._pin(self._members(self._files[file_id], run), _FLUSHING)
         self.outstanding_flushes += 1
-        self._g_wb_queue.set_max(self.outstanding_flushes)
+        if self._g_wb_queue is not None:
+            self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def finished(ok: bool) -> None:
             fm = self._files[file_id]
@@ -746,7 +754,8 @@ class BufferCache:
         handle = _DelayedFlush()
         self._delayed_flushes.setdefault(file_id, []).append(handle)
         self.outstanding_flushes += 1  # keeps drain accounting honest
-        self._g_wb_queue.set_max(self.outstanding_flushes)
+        if self._g_wb_queue is not None:
+            self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def fire() -> None:
             self.outstanding_flushes -= 1
@@ -1045,7 +1054,10 @@ class _PendingRead:
         # time, not a sleep -- "I/Os to and from the SSD are done without
         # suspending the process" -- so it is handed to the caller to
         # charge as computation.
-        self.on_complete(self.cache.config.hit_penalty_s(self.length))
+        cache = self.cache
+        self.on_complete(
+            0.0 if cache._free_hits else cache.config.hit_penalty_s(self.length)
+        )
 
 
 class _PendingWrite:
@@ -1117,7 +1129,9 @@ class _PendingWrite:
                 cache.schedule_delayed_flush(fid, self.offset, self.length, run)
             else:
                 cache.issue_disk_write(fid, self.offset, self.length, run)
-            self.on_complete(cache.config.hit_penalty_s(self.length))
+            self.on_complete(
+                0.0 if cache._free_hits else cache.config.hit_penalty_s(self.length)
+            )
         else:
             # Write-through: the writer waits for the disk; the copy-in
             # penalty is charged on wake-up.

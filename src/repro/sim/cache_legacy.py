@@ -143,8 +143,8 @@ class BufferCache:
         #: SSD failed: bypass the cache, fall through to the disk
         self.degraded = False
         reg = obs if obs is not None else get_registry()
-        self._c_evictions = reg.counter("sim.cache.evictions")
-        self._c_parks = reg.counter("sim.cache.frame_wait_parks")
+        #: blocks evicted; SimulatedSystem publishes it after the run
+        self.evictions = 0
         self._g_wb_queue = reg.gauge("sim.cache.writebehind_queue_depth")
         self._blocks: dict[tuple[int, int], Block] = {}
         self._clean_lru: OrderedDict[tuple[int, int], Block] = OrderedDict()
@@ -368,7 +368,7 @@ class BufferCache:
                 victims = []
 
         if victims:
-            self._c_evictions.inc(len(victims))
+            self.evictions += len(victims)
         for victim in victims:
             self._drop(victim)
         blocks = []
@@ -390,7 +390,6 @@ class BufferCache:
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
         """Queue a retry closure to run when frames may be available."""
         self.metrics.cache.frame_stalls += 1
-        self._c_parks.inc()
         self._frame_waiters.append(retry)
 
     def _kick_frame_waiters(self) -> None:

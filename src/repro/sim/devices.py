@@ -17,7 +17,10 @@ Faithfully to that description:
   rotational delay -- the head is streaming); anything else pays a seek
   that grows with the logical distance plus a sampled rotational delay;
 * the access-time distribution is *constant* (independent of load),
-  sampled from a seeded generator for reproducibility.
+  sampled from a seeded generator for reproducibility.  Rotational
+  delays are drawn a block at a time (``uniform(0, period, size=k)``
+  yields the same values in the same order as k scalar draws) and
+  handed out one per seeking request.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from repro.obs.registry import get_registry
 from repro.sim.config import DiskConfig
 from repro.util.rng import derive_rng
 
+#: rotational delays drawn from the generator at a time
+_DRAW_BLOCK = 512
+
 
 class DiskModel:
     """Per-file position-tracking service-time calculator."""
@@ -35,6 +41,9 @@ class DiskModel:
     def __init__(self, config: DiskConfig, *, seed: int = 0, obs=None):
         self.config = config
         self._rng = derive_rng(seed, "disk")
+        #: unused rotational delays, next one last
+        self._rotations: list[float] = []
+        self._n_disks = config.n_disks
         self._position: dict[int, int] = {}
         self.requests = 0
         self.sequential_requests = 0
@@ -45,7 +54,9 @@ class DiskModel:
         self.busy_by_device: dict[int, float] = {}
         reg = obs if obs is not None else get_registry()
         self._per_device = reg.enabled
-        self._h_seek = reg.histogram("sim.disk.seek_distance_bytes")
+        self._h_seek = (
+            reg.histogram("sim.disk.seek_distance_bytes") if reg.enabled else None
+        )
 
     def _position_key(self, file_id: int) -> int:
         """Which head position a file's accesses move.
@@ -64,7 +75,8 @@ class DiskModel:
         if length <= 0:
             raise ValueError("length must be positive")
         cfg = self.config
-        file_id = self._position_key(file_id)
+        if self._n_disks > 0:
+            file_id %= self._n_disks
         last_end = self._position.get(file_id)
         transfer = length / cfg.bandwidth_bytes_per_sec
         self.requests += 1
@@ -77,10 +89,17 @@ class DiskModel:
                 distance = cfg.seek_span_bytes  # first touch: full seek
             else:
                 distance = abs(offset - last_end)
-            self._h_seek.observe(distance)
+            if self._h_seek is not None:
+                self._h_seek.observe(distance)
             frac = min(1.0, distance / cfg.seek_span_bytes)
             seek = cfg.min_seek_s + (cfg.max_seek_s - cfg.min_seek_s) * frac
-            rotation = float(self._rng.uniform(0.0, cfg.rotation_period_s))
+            rotations = self._rotations
+            if not rotations:
+                block = self._rng.uniform(
+                    0.0, cfg.rotation_period_s, size=_DRAW_BLOCK
+                )
+                rotations = self._rotations = block[::-1].tolist()
+            rotation = rotations.pop()
             service = cfg.base_overhead_s + seek + rotation + transfer
         self._position[file_id] = offset + length
         self.busy_seconds += service

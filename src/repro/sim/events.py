@@ -31,14 +31,18 @@ through ``schedule(delay, fn, *args)`` instead of capturing them in a
 closure (callers previously allocated a fresh lambda per event, which
 dominated the scheduler's profile).  The heap entry is ``(when, seq,
 fn, args)``; ``seq`` is unique, so ``fn``/``args`` never take part in
-heap comparisons.  Cancellation is lazy: :meth:`cancel` records the
-entry's sequence number and the run loop discards it -- without running
-it, counting it, or advancing the clock -- when it reaches the top.
+heap comparisons.  There is no cancellation: components that may
+retract work (delayed flushes of a deleted file) check a flag of their
+own when the event fires.
+
+The heap-depth peak is tracked only when an enabled registry is wired
+in; with the default null registry ``schedule_at`` calls no instrument.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.obs.registry import get_registry
@@ -56,16 +60,15 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._events_run = 0
-        self._cancelled: set[int] = set()
         reg = obs if obs is not None else get_registry()
         self._c_events = reg.counter("sim.engine.events_run")
         self._c_advanced = reg.counter("sim.engine.time_advanced_s")
-        self._g_heap = reg.gauge("sim.engine.heap_depth")
+        self._g_heap = reg.gauge("sim.engine.heap_depth") if reg.enabled else None
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args) -> int:
         """Run ``fn(*args)`` at absolute time ``when`` (>= now).
 
-        Returns a handle usable with :meth:`cancel`.
+        Returns the event's sequence number (its FIFO tie-breaker).
         """
         if self.tick_s is not None:
             when = round(when / self.tick_s) * self.tick_s
@@ -75,24 +78,20 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (when, seq, fn, args))
-        self._g_heap.set_max(len(self._heap))
+        heap = self._heap
+        heappush(heap, (when, seq, fn, args))
+        if self._g_heap is not None:
+            self._g_heap.set_max(len(heap))
         return seq
 
     def schedule(self, delay: float, fn: Callable[..., None], *args) -> int:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time.
 
-        Returns a handle usable with :meth:`cancel`.
+        Returns the event's sequence number.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self.now + delay, fn, *args)
-
-    def cancel(self, handle: int) -> None:
-        """Drop a scheduled event.  O(1); the entry is discarded when it
-        surfaces, without running, being counted, or advancing the clock.
-        """
-        self._cancelled.add(handle)
 
     @property
     def pending(self) -> int:
@@ -121,31 +120,26 @@ class Engine:
         ``now`` past the last real event.
         """
         t0 = self.now
-        e0 = self._events_run
+        e0 = n = self._events_run
+        budget = max_events if max_events is not None else math.inf
+        horizon = until if until is not None else math.inf
         heap = self._heap
-        heappop = heapq.heappop
-        cancelled = self._cancelled
         try:
             while heap:
-                if max_events is not None and self._events_run >= max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {self._events_run} events"
-                    )
-                item = heap[0]
-                when = item[0]
-                if until is not None and when > until:
+                if n >= budget:
+                    raise SimulationError(f"event budget exhausted after {n} events")
+                when, _, fn, args = heap[0]
+                if when > horizon:
                     break
                 heappop(heap)
-                if cancelled and item[1] in cancelled:
-                    cancelled.discard(item[1])
-                    continue
                 if when < self.now:
                     raise SimulationError("event queue went backwards")
                 self.now = when
-                self._events_run += 1
-                item[2](*item[3])
+                n += 1
+                fn(*args)
             if until is not None and advance_clock and self.now < until:
                 self.now = until
         finally:
-            self._c_events.inc(self._events_run - e0)
+            self._events_run = n
+            self._c_events.inc(n - e0)
             self._c_advanced.add(self.now - t0)

@@ -18,7 +18,11 @@ Determinism contract
   bit-identical to no plan at all;
 * decisions are drawn in device-request order, which the event engine
   makes deterministic, so one ``(config, seed)`` pair always produces
-  the identical fault schedule.
+  the identical fault schedule;
+* draws come from a block filled lazily by ``random(size=k)``, which
+  yields the same values in the same order as k scalar ``random()``
+  calls; :meth:`FaultInjector.decide` and :meth:`FaultInjector.uniform`
+  share the block, so their interleaving is preserved.
 
 A :class:`FaultPlan` is the serializable form -- a (faults, recovery)
 config pair loadable from JSON (``repro simulate --fault-plan plan.json``)
@@ -34,6 +38,9 @@ from pathlib import Path
 
 from repro.sim.config import FaultConfig, RecoveryConfig, SimConfig
 from repro.util.rng import derive_rng
+
+#: U[0,1) values drawn from the generator at a time
+_DRAW_BLOCK = 256
 
 
 class FaultKind(Enum):
@@ -67,6 +74,8 @@ class FaultInjector:
         self.config = config
         base = config.seed if config.seed is not None else seed
         self._rng = derive_rng(base, "faults")
+        #: unused U[0,1) draws, next one last
+        self._draws: list[float] = []
         #: False = the zero-rate fast path: no draws, shared OK verdicts
         self.active = config.injects
         self._slow = FaultDecision(FaultKind.SLOW, config.slow_factor)
@@ -75,7 +84,7 @@ class FaultInjector:
         """The verdict for the next device request (one draw when active)."""
         if not self.active:
             return OK_DECISION
-        u = float(self._rng.random())
+        u = self.uniform()
         cfg = self.config
         if u < cfg.error_rate:
             return ERROR_DECISION
@@ -84,8 +93,11 @@ class FaultInjector:
         return OK_DECISION
 
     def uniform(self) -> float:
-        """A seeded U[0,1) draw for backoff jitter (fault paths only)."""
-        return float(self._rng.random())
+        """The next seeded U[0,1) draw (verdicts and backoff jitter)."""
+        draws = self._draws
+        if not draws:
+            draws = self._draws = self._rng.random(_DRAW_BLOCK)[::-1].tolist()
+        return draws.pop()
 
 
 # -- the serializable plan ---------------------------------------------------

@@ -80,6 +80,13 @@ class TraceProcess:
         self._cursor = 0
         self._pending_compute = self._deltas_s[0] if self._n_records else 0.0
         self._blocked_at: float | None = None
+        # Completion state of the one synchronous I/O a process can have
+        # outstanding: ``_armed`` once the process has blocked on it,
+        # ``_fired_inline`` when it completed before the submit returned.
+        self._armed = False
+        self._fired_inline = False
+        self._cache_read = cache.read
+        self._cache_write = cache.write
         self.finished = self._n_records == 0
 
     # -- Runnable protocol ---------------------------------------------------
@@ -87,11 +94,14 @@ class TraceProcess:
         return self._pending_compute
 
     def consume_compute(self, seconds: float) -> None:
-        self._pending_compute = max(0.0, self._pending_compute - seconds)
+        left = self._pending_compute - seconds
+        self._pending_compute = left if left > 0.0 else 0.0
 
     def on_cpu_available(self) -> bool:
         """Issue I/Os until we block, finish, or need more compute."""
         n = self._n_records
+        pid = self.process_id
+        deltas = self._deltas_s
         while True:
             i = self._cursor
             if i >= n:
@@ -106,70 +116,47 @@ class TraceProcess:
             # Load the *next* record's compute demand now; it runs after
             # this I/O is out the door.
             next_i = i + 1
-            pending = self._deltas_s[next_i] if next_i < n else 0.0
+            pending = deltas[next_i] if next_i < n else 0.0
             self._pending_compute = pending + self._fs_overhead_s
 
+            submit = self._cache_write if self._writes[i] else self._cache_read
             file_id = self._file_ids[i]
             offset = self._offsets[i]
             length = self._lengths[i]
-            is_write = self._writes[i]
-
             if self._asyncs[i]:
                 # Fire and forget: the cache moves the data; the process's
                 # overlap discipline is already baked into its CPU deltas.
-                self._submit(file_id, offset, length, is_write, on_done=None)
+                submit(file_id, offset, length, pid, _noop)
                 if self._pending_compute > 0:
                     return True
                 continue
 
-            completed_inline = _InlineFlag()
-            self._submit(
-                file_id,
-                offset,
-                length,
-                is_write,
-                on_done=lambda penalty: self._io_done(completed_inline, penalty),
-            )
-            if completed_inline.fired_inline:
+            self._armed = False
+            self._fired_inline = False
+            submit(file_id, offset, length, pid, self._io_done)
+            if self._fired_inline:
                 # Zero-latency completion (e.g. free main-memory hit):
                 # no block at all.
                 if self._pending_compute > 0:
                     return True
                 continue
-            completed_inline.armed = True
+            self._armed = True
             self._blocked_at = self.engine.now
             self.scheduler.mark_blocked(self)
             return False
 
     # -- internals ----------------------------------------------------------
-    def _submit(self, file_id, offset, length, is_write, on_done) -> None:
-        callback = on_done if on_done is not None else _noop
-        if is_write:
-            self.cache.write(file_id, offset, length, self.process_id, callback)
-        else:
-            self.cache.read(file_id, offset, length, self.process_id, callback)
-
-    def _io_done(self, flag: "_InlineFlag", cpu_penalty_s: float) -> None:
+    def _io_done(self, cpu_penalty_s: float) -> None:
         # The SSD copy-through penalty is CPU demand, not a sleep; fold
         # it into the compute the process owes before its next I/O.
         self._pending_compute += cpu_penalty_s
-        if not flag.armed:
-            flag.fired_inline = True
+        if not self._armed:
+            self._fired_inline = True
             return
         if self._blocked_at is not None:
             self._pstats.blocked_seconds += self.engine.now - self._blocked_at
             self._blocked_at = None
         self.scheduler.unblock(self)
-
-
-class _InlineFlag:
-    """Distinguishes completions that fire before the submit returns."""
-
-    __slots__ = ("armed", "fired_inline")
-
-    def __init__(self) -> None:
-        self.armed = False
-        self.fired_inline = False
 
 
 def _noop(cpu_penalty_s: float = 0.0) -> None:

@@ -78,8 +78,13 @@ class RecoveringDevice:
         self.config = config
         self.metrics = metrics
         reg = obs if obs is not None else get_registry()
-        self._h_backoff = reg.histogram("sim.recovery.backoff_s")
-        self._h_latency = reg.histogram("sim.recovery.latency_s")
+        # Histograms only for an enabled registry; None skips the call.
+        self._h_backoff = (
+            reg.histogram("sim.recovery.backoff_s") if reg.enabled else None
+        )
+        self._h_latency = (
+            reg.histogram("sim.recovery.latency_s") if reg.enabled else None
+        )
         #: fast path: no per-request decisions and no deadline to police
         self._passthrough = not injector.active and config.timeout_s is None
 
@@ -98,10 +103,11 @@ class RecoveringDevice:
             # time, one transfer record, one completion event.
             service = self.disk.service_time(file_id, offset, length)
             t0 = self.engine.now
+            t_end = t0 + service
             self.metrics.record_disk_transfer(
-                is_write=is_write, t_start=t0, t_end=t0 + service, nbytes=length
+                is_write=is_write, t_start=t0, t_end=t_end, nbytes=length
             )
-            self.engine.schedule(service, on_done, True)
+            self.engine.schedule_at(t_end, on_done, True)
             return
         self._attempt(file_id, offset, length, is_write, on_done, 0, self.engine.now)
 
@@ -143,7 +149,8 @@ class RecoveringDevice:
             )
             if attempt > 0:
                 stats.recovered += 1
-                self._h_latency.observe(t0 + service - started)
+                if self._h_latency is not None:
+                    self._h_latency.observe(t0 + service - started)
             self._note_attempts(attempt + 1)
             self.engine.schedule(service, on_done, True)
             return
@@ -151,7 +158,8 @@ class RecoveringDevice:
         if attempt < cfg.max_retries:
             delay = backoff_delay(cfg, attempt, self.injector.uniform())
             stats.retries += 1
-            self._h_backoff.observe(delay)
+            if self._h_backoff is not None:
+                self._h_backoff.observe(delay)
             self.engine.schedule(
                 latency + delay,
                 self._attempt,

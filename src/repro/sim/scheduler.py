@@ -22,7 +22,7 @@ from typing import Protocol
 from repro.obs.registry import get_registry
 from repro.sim.config import SchedulerConfig
 from repro.sim.events import Engine
-from repro.sim.metrics import Metrics
+from repro.sim.metrics import Metrics, ProcessStats
 from repro.util.errors import SimulationError
 
 
@@ -65,23 +65,28 @@ class RoundRobinScheduler:
         self.config = config
         self.metrics = metrics
         self.n_cpus = n_cpus
-        self._obs = obs if obs is not None else get_registry()
-        self._c_dispatches = self._obs.counter("sim.sched.dispatches")
-        self._c_expiries = self._obs.counter("sim.sched.quantum_expiries")
-        self._c_switches = self._obs.counter("sim.sched.context_switches")
-        self._c_unblocks = self._obs.counter("sim.sched.io_unblocks")
-        self._g_ready = self._obs.gauge("sim.sched.ready_depth")
+        reg = obs if obs is not None else get_registry()
+        #: ready-queue peak, tracked only for an enabled registry
+        self._g_ready = reg.gauge("sim.sched.ready_depth") if reg.enabled else None
         self._ready: deque[Runnable] = deque()
         self._running: dict[int, Runnable] = {}  # cpu index -> process
         self._free_cpus: list[int] = list(range(n_cpus))
-        self._last_on_cpu: list[Runnable | None] = [None] * n_cpus
+        #: pid last dispatched on each cpu (a pid, not the process, so the
+        #: scheduler and its processes form no reference cycle)
+        self._last_on_cpu: list[int | None] = [None] * n_cpus
         self._blocked: set[int] = set()
+        #: per-pid stats, resolved once per process instead of per slice
+        self._pstats: dict[int, ProcessStats] = {}
+        # Plain counts; SimulatedSystem publishes them after the run.
         self.dispatches = 0
         self.preemptions = 0
+        self.switches = 0
+        self.unblocks = 0
 
     # -- process lifecycle -------------------------------------------------
     def add(self, proc: Runnable) -> None:
         """Admit a process (initially ready)."""
+        self._pstats[proc.process_id] = self.metrics.process(proc.process_id)
         self._ready.append(proc)
         self._maybe_dispatch()
 
@@ -92,66 +97,69 @@ class RoundRobinScheduler:
                 f"process {proc.process_id} was not blocked"
             )
         self._blocked.discard(proc.process_id)
-        self._c_unblocks.inc()
-        self.metrics.interrupt_seconds += self.config.interrupt_service_s
-        self.metrics.record_busy_point(
-            self.engine.now, self.config.interrupt_service_s
-        )
+        self.unblocks += 1
+        interrupt_s = self.config.interrupt_service_s
+        self.metrics.interrupt_seconds += interrupt_s
+        self.metrics.record_busy_point(self.engine.now, interrupt_s)
         self._ready.append(proc)
         self._maybe_dispatch()
 
     # -- dispatch loop ---------------------------------------------------
     def _maybe_dispatch(self) -> None:
-        self._g_ready.set_max(len(self._ready))
-        while self._free_cpus and self._ready:
-            cpu = self._free_cpus.pop()
-            proc = self._ready.popleft()
+        ready = self._ready
+        if self._g_ready is not None:
+            self._g_ready.set_max(len(ready))
+        free = self._free_cpus
+        while free and ready:
+            cpu = free.pop()
+            proc = ready.popleft()
             self._running[cpu] = proc
             self.dispatches += 1
-            self._c_dispatches.inc()
-            switch = (
-                self.config.switch_overhead_s
-                if self._last_on_cpu[cpu] is not proc
-                else 0.0
-            )
-            self._last_on_cpu[cpu] = proc
+            pid = proc.process_id
+            if self._last_on_cpu[cpu] != pid:
+                switch = self.config.switch_overhead_s
+                self._last_on_cpu[cpu] = pid
+            else:
+                switch = 0.0
+            now = self.engine.now
             if switch:
-                self._c_switches.inc()
+                self.switches += 1
                 self.metrics.switch_seconds += switch
-                self.metrics.record_busy_point(self.engine.now, switch)
-            self.engine.schedule(switch, self._run_slice, proc, cpu)
+                self.metrics.record_busy_point(now, switch)
+            self.engine.schedule_at(now + switch, self._run_slice, proc, cpu)
 
     def _run_slice(self, proc: Runnable, cpu: int) -> None:
         remaining = proc.compute_remaining()
-        slice_s = min(self.config.quantum_s, remaining)
+        quantum = self.config.quantum_s
+        slice_s = remaining if remaining < quantum else quantum
         if slice_s > 0:
-            self.engine.schedule(slice_s, self._slice_done, proc, cpu, slice_s)
+            engine = self.engine
+            engine.schedule_at(
+                engine.now + slice_s, self._slice_done, proc, cpu, slice_s
+            )
         else:
             self._slice_done(proc, cpu, 0.0)
 
     def _slice_done(self, proc: Runnable, cpu: int, slice_s: float) -> None:
         if slice_s > 0:
             proc.consume_compute(slice_s)
-            self.metrics.busy_seconds += slice_s
-            self.metrics.record_busy(self.engine.now - slice_s, self.engine.now)
-            self.metrics.process(proc.process_id).cpu_seconds += slice_s
+            metrics = self.metrics
+            now = self.engine.now
+            metrics.busy_seconds += slice_s
+            metrics.record_busy(now - slice_s, now)
+            self._pstats[proc.process_id].cpu_seconds += slice_s
         if proc.compute_remaining() > 0:
             # Quantum expired mid-compute: rotate to the queue tail.
             self.preemptions += 1
-            self._c_expiries.inc()
-            self._release(cpu)
-            self._ready.append(proc)
-            self._maybe_dispatch()
-            return
-        wants_more = proc.on_cpu_available()
-        self._release(cpu)
+            wants_more = True
+        else:
+            wants_more = proc.on_cpu_available()
+        # Release the CPU.
+        del self._running[cpu]
+        self._free_cpus.append(cpu)
         if wants_more:
             self._ready.append(proc)
         self._maybe_dispatch()
-
-    def _release(self, cpu: int) -> None:
-        del self._running[cpu]
-        self._free_cpus.append(cpu)
 
     # -- used by processes --------------------------------------------------
     def mark_blocked(self, proc: Runnable) -> None:

@@ -192,7 +192,10 @@ class SimulatedSystem:
     def _publish_obs(self) -> None:
         """Mirror end-of-run accounting into the observability registry.
 
-        Counters accumulate across runs sharing one registry (a sweep
+        Every count the components keep as a plain int (scheduler
+        dispatches and switches, cache evictions, ...) is published here
+        once, so the per-event code calls no instrument.  Counters
+        accumulate across runs sharing one registry (a sweep
         profiled as a whole); derived fractions are recomputed from the
         accumulated counters so they stay aggregate-correct.
         """
@@ -208,6 +211,8 @@ class SimulatedSystem:
             "bypass_requests",
         ):
             reg.counter(f"sim.cache.{name}").add(getattr(c, name))
+        reg.counter("sim.cache.evictions").add(self.cache.evictions)
+        reg.counter("sim.cache.frame_wait_parks").add(c.frame_stalls)
         hits = reg.counter("sim.cache.block_hits").value
         inflight = reg.counter("sim.cache.block_inflight_hits").value
         misses = reg.counter("sim.cache.block_misses").value
@@ -234,6 +239,11 @@ class SimulatedSystem:
         ):
             reg.counter(f"sim.recovery.{name}").add(getattr(fs, name))
         reg.gauge("sim.recovery.max_attempts").set_max(fs.max_attempts)
+        sched = self.scheduler
+        reg.counter("sim.sched.dispatches").add(sched.dispatches)
+        reg.counter("sim.sched.quantum_expiries").add(sched.preemptions)
+        reg.counter("sim.sched.context_switches").add(sched.switches)
+        reg.counter("sim.sched.io_unblocks").add(sched.unblocks)
         reg.counter("sim.sched.busy_s").add(self.metrics.busy_seconds)
         reg.counter("sim.sched.switch_overhead_s").add(self.metrics.switch_seconds)
         reg.counter("sim.sched.interrupt_s").add(self.metrics.interrupt_seconds)

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import DiskConfig
-from repro.sim.devices import DiskModel
+from repro.sim.devices import _DRAW_BLOCK, DiskModel
 from repro.sim.events import Engine
 from repro.util.errors import SimulationError
+from repro.util.rng import derive_rng
 
 
 class TestEngine:
@@ -140,6 +141,24 @@ class TestDiskModel:
         b = DiskModel(DiskConfig(), seed=7)
         for off in (0, 999999, 123):
             assert a.service_time(1, off, 4096) == b.service_time(1, off, 4096)
+
+    def test_block_rotation_draws_equal_scalar_draws(self):
+        # Rotational delays come from a block filled by uniform(size=k);
+        # across block boundaries they must be the values, in order, that
+        # one scalar uniform() per seeking request used to give.
+        cfg = DiskConfig()
+        disk = DiskModel(cfg, seed=3)
+        scalar = derive_rng(3, "disk")
+        seek = cfg.min_seek_s + (cfg.max_seek_s - cfg.min_seek_s) * 1.0
+        transfer = 4096 / cfg.bandwidth_bytes_per_sec
+        for fid in range(2 * _DRAW_BLOCK + 37):
+            # Every file is new, so every request is a full seek; a
+            # sequential request in between draws nothing.
+            rotation = float(scalar.uniform(0.0, cfg.rotation_period_s))
+            expected = cfg.base_overhead_s + seek + rotation + transfer
+            assert disk.service_time(fid, 0, 4096) == expected
+            if fid % 7 == 0:
+                disk.service_time(fid, 4096, 4096)
 
     def test_finite_disks_interfere(self):
         # Two files interleaved: private spindles stay sequential; one

@@ -11,15 +11,17 @@ Three invariants anchor everything else in this file:
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from repro.sim.config import CacheConfig, FaultConfig, RecoveryConfig, SimConfig
-from repro.sim.faults import FaultInjector, FaultKind, FaultPlan
+from repro.sim.faults import _DRAW_BLOCK, FaultInjector, FaultKind, FaultPlan
 from repro.sim.system import simulate
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
+from repro.util.rng import derive_rng
 from repro.util.units import KB, MB, seconds_to_ticks
 from repro.workloads import generate_workload
 
@@ -73,6 +75,27 @@ class TestInjector:
         slows = kinds.count(FaultKind.SLOW) / len(kinds)
         assert errors == pytest.approx(0.3, abs=0.05)
         assert slows == pytest.approx(0.3, abs=0.05)
+
+    def test_block_draws_equal_scalar_draws(self):
+        # decide() and uniform() share one block filled by random(size=k);
+        # interleaved, and across block boundaries, they must see the
+        # sequence that one scalar random() per call used to give.
+        cfg = FaultConfig(error_rate=0.2, slow_rate=0.3, slow_factor=2.0)
+        inj = FaultInjector(cfg, seed=5)
+        scalar = derive_rng(5, "faults")
+        pick = random.Random(0)
+        for _ in range(3 * _DRAW_BLOCK + 11):
+            u = float(scalar.random())
+            if pick.random() < 0.5:
+                assert inj.uniform() == u
+                continue
+            if u < cfg.error_rate:
+                expected = FaultKind.ERROR
+            elif u < cfg.error_rate + cfg.slow_rate:
+                expected = FaultKind.SLOW
+            else:
+                expected = FaultKind.OK
+            assert inj.decide().kind is expected
 
     def test_config_seed_overrides_simulation_seed(self):
         cfg = FaultConfig(error_rate=0.5, seed=99)

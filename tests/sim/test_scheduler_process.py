@@ -1,5 +1,8 @@
 """Round-robin scheduler and trace-replay processes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,27 @@ class TestMultiProcess:
         result = simulate([t1, t2], config)
         assert result.switch_seconds > 0
         assert result.accounted_busy_seconds > result.busy_seconds
+
+
+class TestMemory:
+    def test_processes_freed_without_the_cycle_collector(self):
+        # A process holds its trace decoded into Python lists.  In a
+        # reference cycle -- a bound method of itself stored on itself, or
+        # the scheduler keeping the process that ran last -- every point
+        # of a sweep would keep its lists alive until a full collection,
+        # raising peak RSS and slowing whatever runs into that collection.
+        system = SimulatedSystem(
+            [make_trace(30, pid=1), make_trace(30, pid=2, fid=2)],
+            SimConfig().with_cache(size_bytes=1 * MB),
+        )
+        system.run()
+        procs = [weakref.ref(p) for p in system.processes]
+        gc.disable()
+        try:
+            del system
+            assert all(ref() is None for ref in procs)
+        finally:
+            gc.enable()
 
 
 class TestHelpers:

@@ -72,6 +72,124 @@ class TestBinnedSeries:
         assert s.total == pytest.approx(expected, abs=1e-6, rel=1e-9)
 
 
+class _NumpyBinnedSeries:
+    """Oracle: the NumPy-array BinnedSeries the list-backed one replaced.
+
+    Bins start at capacity 16 and double on growth; ``add_spread`` walks
+    the interval bin by bin through :meth:`add`.  Kept verbatim so the
+    property below pins the list-backed series to the same IEEE sums.
+    """
+
+    def __init__(self, bin_width, t0=0.0):
+        self.bin_width = float(bin_width)
+        self.t0 = float(t0)
+        self._bins = np.zeros(16, dtype=float)
+        self._n_used = 0
+
+    def add(self, t, weight=1.0):
+        if t < self.t0:
+            raise ValueError(f"time {t} precedes series origin {self.t0}")
+        idx = int((t - self.t0) / self.bin_width)
+        if idx >= self._bins.size:
+            new_size = max(idx + 1, self._bins.size * 2)
+            self._bins = np.concatenate(
+                [self._bins, np.zeros(new_size - self._bins.size)]
+            )
+        self._bins[idx] += weight
+        if idx + 1 > self._n_used:
+            self._n_used = idx + 1
+
+    def add_spread(self, t_start, t_end, weight):
+        if t_end < t_start:
+            raise ValueError("t_end must be >= t_start")
+        if t_end == t_start:
+            self.add(t_start, weight)
+            return
+        duration = t_end - t_start
+        t = t_start
+        while t < t_end:
+            idx = int((t - self.t0) / self.bin_width)
+            bin_end = self.t0 + (idx + 1) * self.bin_width
+            if bin_end <= t:
+                bin_end = self.t0 + (idx + 2) * self.bin_width
+            seg_end = min(bin_end, t_end)
+            self.add(t, weight * (seg_end - t) / duration)
+            t = seg_end
+
+    @property
+    def n_bins(self):
+        return self._n_used
+
+    def values(self):
+        return self._bins[: self._n_used].copy()
+
+    @property
+    def total(self):
+        return float(self._bins[: self._n_used].sum())
+
+
+#: a time as an offset from the origin: anywhere, or exactly on an edge
+_offsets = st.one_of(
+    st.floats(0, 40, allow_nan=False),
+    st.integers(0, 120).map(lambda k: ("edge", k)),
+)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "spread"]),
+        _offsets,
+        st.one_of(st.just(0.0), st.floats(0, 15), _offsets),
+        st.floats(-50, 1e6, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+def _at(offset, t0, width):
+    if isinstance(offset, tuple):
+        return t0 + offset[1] * width
+    return t0 + offset
+
+
+class TestListBackedMatchesNumpyOracle:
+    @given(
+        t0=st.floats(-1e3, 1e3, allow_nan=False),
+        width=st.sampled_from([0.1, 1 / 3, 1.0]),
+        ops=_ops,
+    )
+    def test_bit_identical_bins(self, t0, width, ops):
+        fast = BinnedSeries(width, t0)
+        oracle = _NumpyBinnedSeries(width, t0)
+        for kind, start, extent, weight in ops:
+            t_start = _at(start, t0, width)
+            if kind == "add":
+                fast.add(t_start, weight)
+                oracle.add(t_start, weight)
+                continue
+            if isinstance(extent, tuple):
+                # An end on a bin edge at or after the start.
+                t_end = max(t_start, _at(extent, t0, width))
+            else:
+                t_end = t_start + extent  # extent 0.0: zero-length interval
+            fast.add_spread(t_start, t_end, weight)
+            oracle.add_spread(t_start, t_end, weight)
+        assert fast.n_bins == oracle.n_bins
+        assert fast.values().tobytes() == oracle.values().tobytes()
+        assert fast.total == oracle.total
+
+    def test_growth_past_oracle_capacity(self):
+        # 16 bins initially, then doubling: cross both boundaries.
+        fast = BinnedSeries(1 / 3)
+        oracle = _NumpyBinnedSeries(1 / 3)
+        for s in (fast, oracle):
+            s.add_spread(0.05, 5.4, 17.0)
+            s.add(11.0, 2.5)
+            s.add_spread(11.0, 11.0, 1.0)
+            s.add_spread(2.0, 23.0, 3.0)
+        assert fast.n_bins == oracle.n_bins > 32
+        assert fast.values().tobytes() == oracle.values().tobytes()
+        assert fast.total == oracle.total
+
+
 class TestRateSeries:
     def _series(self):
         return RateSeries.from_events(
