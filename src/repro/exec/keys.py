@@ -27,13 +27,23 @@ from repro.sim.config import SimConfig
 
 def canonical_value(value):
     """Recursively convert a value into a JSON-safe canonical form."""
-    if isinstance(value, bool) or value is None:
+    # Exact-type dispatch first: config dicts hold plain floats, ints,
+    # bools, strings and None, and nested dicts/lists of them.
+    kind = type(value)
+    if kind is float:
+        # float.hex is exact and stable; repr is *usually* stable but
+        # documents no such guarantee for round-tripping across builds.
+        return {"__float__": value.hex()}
+    if kind in _PLAIN_TYPES:
         return value
+    if kind is dict:
+        return {str(k): canonical_value(v) for k, v in sorted(value.items())}
+    if kind is list or kind is tuple:
+        return [canonical_value(v) for v in value]
+    # Subclasses (numpy scalars, IntEnum, ...) and objects with to_dict.
     if isinstance(value, int):
         return value
     if isinstance(value, float):
-        # float.hex is exact and stable; repr is *usually* stable but
-        # documents no such guarantee for round-tripping across builds.
         return {"__float__": value.hex()}
     if isinstance(value, str):
         return value
@@ -44,6 +54,10 @@ def canonical_value(value):
     if hasattr(value, "to_dict"):
         return canonical_value(value.to_dict())
     raise TypeError(f"cannot canonicalize {type(value).__name__}: {value!r}")
+
+
+#: types :func:`canonical_value` returns unchanged
+_PLAIN_TYPES = frozenset({bool, int, str, type(None)})
 
 
 def canonical_json(value) -> str:

@@ -23,6 +23,12 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from repro.util.units import KB, MB
 
 
+#: dataclass -> its field names in declaration order
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+#: value types that are never nested configs
+_SCALAR_TYPES = frozenset({int, float, bool, str, type(None)})
+
+
 def _config_dict(obj) -> dict:
     """A plain dict of a config dataclass in declared field order.
 
@@ -31,12 +37,19 @@ def _config_dict(obj) -> dict:
     merely reorder keyword arguments at call sites.  Values are left as
     the native ints/floats/bools/None; callers that need a drift-proof
     text form (cache keys, golden fixtures) should render floats with
-    ``float.hex`` -- see :mod:`repro.exec.keys`.
+    ``float.hex`` -- see :mod:`repro.exec.keys`.  Each class's field names
+    are looked up once and cached.
     """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = _config_dict(value) if is_dataclass(value) else value
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) not in _SCALAR_TYPES and is_dataclass(value):
+            value = _config_dict(value)
+        out[name] = value
     return out
 
 

@@ -6,6 +6,7 @@ behaviour, and the corruption-tolerance contract: a bad entry costs a
 re-run, never a wrong result.
 """
 
+import hashlib
 import pickle
 import warnings
 
@@ -16,6 +17,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.keys import canonical_json, canonical_value, point_key
 from repro.exec.runner import AppWorkloadSpec, SweepPointSpec, SweepRunner
 from repro.sim.config import CacheConfig, DiskConfig, SchedulerConfig, SimConfig
+from repro.sim.faults import FaultPlan
 from repro.util.units import KB, MB
 
 WORKLOAD = AppWorkloadSpec(app="venus", scale=0.05, n_copies=2)
@@ -55,6 +57,37 @@ class TestCanonicalJson:
     def test_config_field_order_stable(self):
         d = SimConfig().to_dict()
         assert list(d["cache"]) == [f.name for f in CacheConfig.__dataclass_fields__.values()]
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                SimConfig(),
+                "d489cea0f848da9466b27629a356c8ab3064736679688abe29d8d8f1fe5020d1",
+            ),
+            (
+                FaultPlan.from_spec(
+                    "error=0.05,slow=0.1,seed=23,max_retries=4,crash_at=30.5"
+                ).apply(SimConfig()),
+                "708967f11cde0910f858758b4da317c5fc9b9afe6db6ba5202d4a508e5a426cc",
+            ),
+        ],
+        ids=["default", "fault-plan"],
+    )
+    def test_canonical_text_pinned(self, config, expected):
+        # The canonical text is what every cached result is keyed on;
+        # any drift silently orphans (or worse, aliases) cache entries.
+        digest = hashlib.sha256(canonical_json(config).encode()).hexdigest()
+        assert digest == expected
+
+    def test_equal_but_distinct_values_canonicalize_apart(self):
+        # 0.0 == -0.0 and True == 1 hash alike as Python values, so keys
+        # must never be memoized on config equality.
+        zero = SimConfig().with_scheduler(fs_overhead_s=0.0)
+        negative_zero = SimConfig().with_scheduler(fs_overhead_s=-0.0)
+        assert zero == negative_zero
+        assert canonical_json(zero) != canonical_json(negative_zero)
+        assert canonical_json({"a": [True]}) != canonical_json({"a": [1]})
 
 
 class TestConfigRoundTrip:
