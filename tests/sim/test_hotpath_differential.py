@@ -157,18 +157,24 @@ def test_disabled_obs_makes_zero_registry_calls_per_event(venus_pair):
     # counts the components keep are published once after the run, and
     # per-event peaks and histograms are only wired for an enabled
     # registry.  So a run makes as many instrument calls on a short
-    # trace as on a long one.
-    def run(traces):
+    # trace as on a long one -- fault-free, and on the retry path.
+    plan = FaultPlan.from_spec("error=0.05,slow=0.1,seed=23,max_retries=4")
+    configs = [CONFIGS["memory"], plan.apply(CONFIGS["ssd"])]
+
+    def run(traces, config):
         reg = _CountingRegistry()
-        system = SimulatedSystem(traces, CONFIGS["memory"], obs=reg)
+        system = SimulatedSystem(traces, config, obs=reg)
         wired = reg.lookups
         assert wired > 0  # construction does resolve instruments
         result = system.run()
         assert reg.lookups == wired
-        return result.events_run, reg.calls
+        return result, reg.calls
 
-    short_events, short_calls = run([t[: len(t) // 20] for t in venus_pair])
-    long_events, long_calls = run(venus_pair)
-    assert long_events > 10_000  # a real run, not a trivial one
-    assert long_events > 10 * short_events
-    assert long_calls == short_calls
+    short_traces = [t[: len(t) // 20] for t in venus_pair]
+    for config in configs:
+        short, short_calls = run(short_traces, config)
+        long, long_calls = run(venus_pair, config)
+        assert long.events_run > 10_000  # a real run, not a trivial one
+        assert long.events_run > 10 * short.events_run
+        assert long_calls == short_calls
+    assert long.faults.retries > 0  # the last config exercised retries
